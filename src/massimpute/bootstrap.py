@@ -21,6 +21,7 @@ import numpy as np
 
 from .data_model import DesignKind, DesignMatrix, DesignSpec, SurveySample
 from .errors import (
+    ColumnMismatch,
     IOFailure,
     NumericalError,
     UnsupportedDesign,
@@ -33,6 +34,7 @@ from .mean_model import (
     mean_values,
     solve_quasi_score,
 )
+from .table import read_table, write_table
 
 _REFIT_RETRY_CAP = 10
 
@@ -132,6 +134,8 @@ def build_replicates(
     config: SolverConfig = SolverConfig(),
 ) -> ReplicateSet:
     """Compose the four bootstrap steps into a paired replicate set."""
+    if design_a.column_names != model.covariate_names:
+        raise ColumnMismatch(model.covariate_names, design_a.column_names)
     rep_w = replicate_weights(sample_a, design_spec, L, seed)
     betas, retries = bootstrap_refit(sample_b, model.family, design_b, L, seed, config)
     # column k of imputations comes from replicate k's coefficients only
@@ -198,10 +202,7 @@ def write_augmented_dataset(
         cols.append(replicate_set.replicate_imputations[:, k])
 
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(sample_a.n):
-                fh.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+        write_table(path, header, cols)
         manifest = {
             "format": "massimpute-augmented-v1",
             "L": replicate_set.L,
@@ -246,26 +247,36 @@ def read_augmented_dataset(path) -> AugmentedDataset:
         raise IOFailure(f"manifest not found: {mpath}")
     with open(mpath) as fh:
         manifest = json.load(fh)
-    data = np.genfromtxt(path, delimiter=",", names=True, deletechars="")
+    header, rows = read_table(path)
     L = manifest["L"]
-    weight_name = manifest["weight_name"]
-    names = data.dtype.names
-    if weight_name not in names or "yhat" not in names:
-        raise IOFailure("augmented file missing required columns")
-    rep_w = np.column_stack([data[f"w_rep_{k + 1}"] for k in range(L)])
-    rep_yhat = np.column_stack([data[f"yhat_rep_{k + 1}"] for k in range(L)])
+    names = [manifest["weight_name"], "yhat"]
+    names += [f"w_rep_{k + 1}" for k in range(L)]
+    names += [f"yhat_rep_{k + 1}" for k in range(L)]
+    try:
+        columns = [header.index(name) for name in names]
+    except ValueError:
+        raise IOFailure("augmented file missing required columns") from None
+    try:
+        # take() yields a row-major block, the layout of an in-memory
+        # replicate set, so sums over units add in the same order.
+        data = np.array(rows, dtype=float).take(columns, axis=1)
+    except ValueError as exc:
+        raise IOFailure(f"non-numeric cell in augmented file: {exc}") from None
     return AugmentedDataset(
-        weights=np.atleast_1d(data[weight_name]),
-        yhat=np.atleast_1d(data["yhat"]),
-        replicate_weights=np.atleast_2d(rep_w),
-        replicate_imputations=np.atleast_2d(rep_yhat),
+        weights=data[:, 0],
+        yhat=data[:, 1],
+        replicate_weights=data[:, 2 : 2 + L],
+        replicate_imputations=data[:, 2 + L :],
         manifest=manifest,
     )
 
 
-def estimate_from_augmented(dataset: AugmentedDataset) -> tuple[float, float]:
-    """Point estimate and bootstrap variance recomputed from the file alone."""
-    N = dataset.population_size_used()
+def estimate_from_augmented(
+    dataset: AugmentedDataset, population_size: float | None = None
+) -> tuple[float, float]:
+    """Point estimate and bootstrap variance recomputed from the file alone,
+    over ``population_size`` or else the file's own population size."""
+    N = population_size if population_size is not None else dataset.population_size_used()
     theta = float(np.sum(dataset.weights * dataset.yhat) / N)
     thetas = (
         np.sum(dataset.replicate_weights * dataset.replicate_imputations, axis=0) / N

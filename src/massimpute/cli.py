@@ -9,34 +9,33 @@ reproduce byte-identical outputs.  Exit codes: 2 usage, 3 data validation,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bootstrap import (
     build_replicates,
+    estimate_from_augmented,
     read_augmented_dataset,
     write_augmented_dataset,
 )
 from .data_model import (
     ColumnSchema,
     SampleKind,
-    SurveySample,
     build_design_matrix,
+    estimate_population_size,
     load_sample,
     ppswr_design,
     srs_design,
 )
-from .errors import NumericalError, ValidationError
-from .estimators import EstimateReport, EstimatorKind
+from .errors import IOFailure, NumericalError, UsageError, ValidationError
+from .estimators import EstimateReport, EstimatorKind, ht_mean
 from .mean_model import FittedModel, ModelFamily, fit_model, predict_all
 from .simulation import SimConfig, run_monte_carlo, write_per_rep_csv
-from .variance import linearized_variance
+from .table import write_table
+from .variance import interval_summary, linearized_variance
 
 
 def _sha256(path) -> str:
@@ -65,7 +64,15 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _load_config_defaults(argv):
+def _read_json(path) -> dict:
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed JSON: {exc}") from None
+
+
+def _load_config_defaults(argv) -> dict:
     """A --config JSON file supplies defaults; explicit flags win."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
@@ -73,15 +80,36 @@ def _load_config_defaults(argv):
     if not known.config:
         return {}
     with open(known.config) as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"--config {known.config}: malformed JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"--config {known.config}: expected a JSON object")
+    return doc
 
 
-def _seed_default() -> int:
-    return int(os.environ.get("MASSIMPUTE_SEED", "0"))
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name, str(default))
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {text!r}") from None
 
 
-def _threads_default() -> int:
-    return int(os.environ.get("MASSIMPUTE_THREADS", "1"))
+def _pop_size(args) -> float | None:
+    """--pop-size as a positive number, or None for 'estimate'."""
+    if args.pop_size == "estimate":
+        return None
+    try:
+        N = float(args.pop_size)
+        if 0.0 < N < float("inf"):
+            return N
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(
+        f"--pop-size expects a positive number or 'estimate', got {args.pop_size!r}"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,15 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_fit_flags(p):
+        # the mean-model fit of `fit` and `bootstrap`
+        p.add_argument("--train")
+        p.add_argument("--response")
+        p.add_argument("--covariates", help="comma-separated names")
+        p.add_argument("--categorical", action="append", metavar="COL=REF")
+        p.add_argument(
+            "--family", choices=[f.value for f in ModelFamily], default="linear"
+        )
+        p.add_argument("--no-intercept", action="store_true")
+
     p = sub.add_parser("fit", help="fit the mean model on the training sample B")
-    p.add_argument("--train")
-    p.add_argument("--response")
-    p.add_argument("--covariates", help="comma-separated names")
-    p.add_argument("--categorical", action="append", metavar="COL=REF")
-    p.add_argument(
-        "--family", choices=[f.value for f in ModelFamily], default="linear"
-    )
-    p.add_argument("--no-intercept", action="store_true")
+    add_fit_flags(p)
     p.add_argument("--out")
 
     p = sub.add_parser("impute", help="predict responses for sample A")
@@ -122,14 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
 
     p = sub.add_parser("bootstrap", help="build the replicate-augmented release file")
-    p.add_argument("--train")
-    p.add_argument("--response")
-    p.add_argument("--covariates")
-    p.add_argument("--categorical", action="append", metavar="COL=REF")
-    p.add_argument(
-        "--family", choices=[f.value for f in ModelFamily], default="linear"
-    )
-    p.add_argument("--no-intercept", action="store_true")
+    add_fit_flags(p)
     p.add_argument("--sample-a")
     p.add_argument("--weight")
     p.add_argument("--pop-size", default="estimate")
@@ -152,17 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _schema_from_args(args, with_weight=False, with_response=True) -> ColumnSchema:
-    return ColumnSchema(
+def _raw_names(model: FittedModel) -> tuple[str, ...]:
+    return tuple(n for n in model.covariate_names if n != "(intercept)")
+
+
+def _fit_from_args(args):
+    """Load sample B and fit; returns (model, sample_b, design_b, schema_doc)."""
+    schema = ColumnSchema(
         covariates=tuple(args.covariates.split(",")),
-        response=args.response if with_response else None,
-        weight=args.weight if with_weight else None,
-        categoricals=_parse_categoricals(getattr(args, "categorical", None)),
+        response=args.response,
+        categoricals=_parse_categoricals(args.categorical),
     )
-
-
-def _fit_from_args(args) -> tuple[FittedModel, SurveySample, dict]:
-    schema = _schema_from_args(args)
     sample_b = load_sample(args.train, schema, SampleKind.NON_PROBABILITY_B)
     design_b = build_design_matrix(
         sample_b, sample_b.covariate_names, intercept=not args.no_intercept
@@ -173,11 +198,11 @@ def _fit_from_args(args) -> tuple[FittedModel, SurveySample, dict]:
         "covariates": list(schema.covariates),
         "categoricals": schema.categoricals,
     }
-    return model, sample_b, schema_doc
+    return model, sample_b, design_b, schema_doc
 
 
 def cmd_fit(args) -> int:
-    model, _, schema_doc = _fit_from_args(args)
+    model, _, _, schema_doc = _fit_from_args(args)
     doc = json.loads(model.to_json())
     doc["schema"] = schema_doc
     doc["version"] = __version__
@@ -186,51 +211,38 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_model_file(path) -> tuple[FittedModel, dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return FittedModel.from_json(json.dumps(doc)), doc.get("schema", {})
-
-
-def _load_sample_a(path, weight, model, schema_doc, extra_categoricals):
-    categoricals = dict(schema_doc.get("categoricals", {}))
-    categoricals.update(extra_categoricals)
+def _load_sample_a(path, weight, model, covariates, categoricals):
+    """Sample A, with its design built from the model's column names."""
     schema = ColumnSchema(
-        covariates=tuple(schema_doc.get("covariates", [])),
-        weight=weight,
-        categoricals=categoricals,
+        covariates=tuple(covariates), weight=weight, categoricals=categoricals
     )
     sample_a = load_sample(path, schema, SampleKind.PROBABILITY_A)
-    raw_names = tuple(
-        name for name in model.covariate_names if name != "(intercept)"
-    )
     design_a = build_design_matrix(
-        sample_a, raw_names, intercept=model.intercept_included
+        sample_a, _raw_names(model), intercept=model.intercept_included
     )
     return sample_a, design_a
 
 
 def cmd_impute(args) -> int:
-    model, schema_doc = _load_model_file(args.model)
+    model_doc = _read_json(args.model)
+    model = FittedModel.from_json(json.dumps(model_doc))
+    schema_doc = model_doc.get("schema", {})
     sample_a, design_a = _load_sample_a(
         args.sample_a,
         args.weight,
         model,
-        schema_doc,
-        _parse_categoricals(args.categorical),
+        schema_doc.get("covariates", []),
+        {
+            **schema_doc.get("categoricals", {}),
+            **_parse_categoricals(args.categorical),
+        },
     )
     yhat = predict_all(model, design_a)
 
     names = list(sample_a.covariate_names) + [args.weight]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["yhat"])
-        cols = [sample_a.columns[n] for n in names] + [yhat]
-        for i in range(sample_a.n):
-            writer.writerow([repr(float(c[i])) for c in cols])
-
-    with open(args.model) as fh:
-        model_doc = json.load(fh)
+    write_table(
+        args.out, names + ["yhat"], [sample_a.columns[n] for n in names] + [yhat]
+    )
     manifest = {
         "format": "massimpute-imputed-v1",
         "model": model_doc,
@@ -245,85 +257,53 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def _read_imputed(path):
-    data = np.genfromtxt(path, delimiter=",", names=True, deletechars="")
-    with open(path + ".manifest.json") as fh:
-        manifest = json.load(fh)
-    return data, manifest
-
-
 def cmd_estimate(args) -> int:
-    variance_block = None
+    pop_size = _pop_size(args)
     digests = {args.imputed: _sha256(args.imputed)}
+    variance_block = None
+    n_b = 0
 
     if args.variance == "bootstrap":
         dataset = read_augmented_dataset(args.imputed)
-        if args.pop_size != "estimate":
-            N = float(args.pop_size)
-        else:
-            N = dataset.population_size_used()
-        theta = float(np.sum(dataset.weights * dataset.yhat) / N)
-        thetas = (
-            np.sum(
-                dataset.replicate_weights * dataset.replicate_imputations, axis=0
-            )
-            / N
-        )
-        v_boot = float(np.mean((thetas - theta) ** 2))
-        se = float(np.sqrt(max(v_boot, 0.0)))
+        N = pop_size if pop_size is not None else dataset.population_size_used()
+        theta, v_boot = estimate_from_augmented(dataset, N)
         variance_block = {
-            "method": "bootstrap",
-            "L": dataset.L,
-            "v_total": v_boot,
-            "standard_error": se,
-            "ci_level": 0.95,
-            "ci_half_width": 1.96 * se,
+            "method": "bootstrap", "L": dataset.L, **interval_summary(v_boot)
         }
         n_a = len(dataset.weights)
-        n_b = 0
     else:
-        data, manifest = _read_imputed(args.imputed)
-        weight_name = manifest["weight_name"]
-        w = np.atleast_1d(data[weight_name])
-        yhat = np.atleast_1d(data["yhat"])
-        N = float(args.pop_size) if args.pop_size != "estimate" else float(np.sum(w))
-        theta = float(np.sum(w * yhat) / N)
-        n_a = len(w)
-        n_b = 0
-
+        manifest = _read_json(args.imputed + ".manifest.json")
+        model = None
         if args.variance == "linearized":
             if not args.train:
                 raise ValidationError("linearized variance requires --train")
             model = FittedModel.from_json(json.dumps(manifest["model"]))
+        # the point estimate needs only the weights and imputations
+        raw_names = _raw_names(model) if model else ()
+        schema_a = ColumnSchema(
+            covariates=raw_names, response="yhat", weight=manifest["weight_name"]
+        )
+        sample_a = load_sample(args.imputed, schema_a, SampleKind.PROBABILITY_A)
+        N = pop_size if pop_size is not None else estimate_population_size(sample_a)
+        theta = ht_mean(sample_a.responses, sample_a.weights, N)
+        n_a = sample_a.n
+
+        if model is not None:
             schema_doc = manifest["model"].get("schema", {})
-            schema = ColumnSchema(
+            schema_b = ColumnSchema(
                 covariates=tuple(schema_doc.get("covariates", [])),
                 response=schema_doc.get("response"),
                 categoricals=schema_doc.get("categoricals", {}),
             )
-            sample_b = load_sample(args.train, schema, SampleKind.NON_PROBABILITY_B)
-            raw_names = tuple(
-                n for n in model.covariate_names if n != "(intercept)"
-            )
+            sample_b = load_sample(args.train, schema_b, SampleKind.NON_PROBABILITY_B)
             design_b = build_design_matrix(
                 sample_b, raw_names, intercept=model.intercept_included
-            )
-            columns = {weight_name: w}
-            cov_names = []
-            for name in raw_names:
-                columns[name] = np.atleast_1d(data[name])
-                cov_names.append(name)
-            sample_a = SurveySample(
-                columns=columns,
-                covariate_names=tuple(cov_names),
-                kind=SampleKind.PROBABILITY_A,
-                weight_name=weight_name,
             )
             design_a = build_design_matrix(
                 sample_a, raw_names, intercept=model.intercept_included
             )
             if args.design == "srs":
-                if args.pop_size == "estimate":
+                if pop_size is None:
                     raise ValidationError("SRS design needs a numeric --pop-size")
                 design_spec = srs_design(N)
             else:
@@ -351,24 +331,19 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
-    model, sample_b, schema_doc = _fit_from_args(args)
-    design_b = build_design_matrix(
-        sample_b, sample_b.covariate_names, intercept=not args.no_intercept
+    seed = args.seed if args.seed is not None else _env_int("MASSIMPUTE_SEED", 0)
+    pop_size = _pop_size(args)
+    model, sample_b, design_b, schema_doc = _fit_from_args(args)
+    sample_a, design_a = _load_sample_a(
+        args.sample_a,
+        args.weight,
+        model,
+        schema_doc["covariates"],
+        schema_doc["categoricals"],
     )
-    schema_a = ColumnSchema(
-        covariates=tuple(args.covariates.split(",")),
-        weight=args.weight,
-        categoricals=_parse_categoricals(args.categorical),
-    )
-    sample_a = load_sample(args.sample_a, schema_a, SampleKind.PROBABILITY_A)
-    design_a = build_design_matrix(
-        sample_a, sample_a.covariate_names, intercept=not args.no_intercept
-    )
-    pop_size = None if args.pop_size == "estimate" else float(args.pop_size)
-    design_spec = ppswr_design(pop_size)
     replicate_set = build_replicates(
-        model, sample_a, sample_b, design_a, design_b, design_spec, args.L, seed
+        model, sample_a, sample_b, design_a, design_b, ppswr_design(pop_size),
+        args.L, seed,
     )
     write_augmented_dataset(
         sample_a, replicate_set, model, args.out, population_size=pop_size
@@ -377,8 +352,10 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
-    threads = args.threads if args.threads is not None else _threads_default()
+    seed = args.seed if args.seed is not None else _env_int("MASSIMPUTE_SEED", 0)
+    threads = (
+        args.threads if args.threads is not None else _env_int("MASSIMPUTE_THREADS", 1)
+    )
     config = SimConfig(
         model_id=args.model,
         population_size=args.pop_size,
@@ -422,36 +399,42 @@ _REQUIRED = {
 }
 
 
+def _fail(exc: Exception, code: int) -> int:
+    json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
+
+
 def run_cli(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
-    defaults = _load_config_defaults(argv if argv is not None else sys.argv[1:])
-    if defaults:
-        for action in parser._subparsers._group_actions[0].choices.values():
-            action.set_defaults(
-                **{k: v for k, v in defaults.items() if k != "command"}
-            )
-    args = parser.parse_args(argv)
-    missing = [
-        name for name in _REQUIRED[args.command]
-        if getattr(args, name, None) is None
-    ]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        parser.error(f"{args.command}: the following arguments are required: {flags}")
     try:
+        defaults = _load_config_defaults(argv)
+        if defaults:
+            for action in parser._subparsers._group_actions[0].choices.values():
+                action.set_defaults(
+                    **{k: v for k, v in defaults.items() if k != "command"}
+                )
+        args = parser.parse_args(argv)
+        missing = [
+            name for name in _REQUIRED[args.command]
+            if getattr(args, name, None) is None
+        ]
+        if missing:
+            flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+            parser.error(
+                f"{args.command}: the following arguments are required: {flags}"
+            )
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        return _fail(exc, 2)
     except ValidationError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)}, sys.stderr
-        )
-        sys.stderr.write("\n")
-        return 3
+        return _fail(exc, 3)
+    except OSError as exc:
+        return _fail(IOFailure(str(exc)), 3)
     except NumericalError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)}, sys.stderr
-        )
-        sys.stderr.write("\n")
-        return 4
+        return _fail(exc, 4)
 
 
 def main() -> None:

@@ -7,7 +7,6 @@ the role of the selection indicator; it is never stored as a column.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 
@@ -15,7 +14,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyFile,
     MissingColumn,
     MissingJointProbabilities,
     MissingValue,
@@ -25,6 +23,7 @@ from .errors import (
     UnknownCovariate,
     ValidationError,
 )
+from .table import read_table, write_table
 
 
 class SampleKind(enum.Enum):
@@ -68,8 +67,6 @@ class SurveySample:
             if self.weight_name is None:
                 raise MissingColumn("<weight>")
             w = self.columns[self.weight_name]
-            if not np.all(np.isfinite(w)):
-                raise ValidationError("non-finite weight present")
             bad = np.flatnonzero(w <= 0)
             if bad.size:
                 raise NonPositiveWeight(int(bad[0]) + 1, float(w[bad[0]]))
@@ -120,7 +117,6 @@ class DesignSpec:
     design: DesignKind
     population_size: float | None = None
     joint_probabilities: np.ndarray | None = None
-    first_order: np.ndarray | None = None
 
     def __post_init__(self):
         if self.design is DesignKind.SRS_WOR:
@@ -136,10 +132,6 @@ class DesignSpec:
                 raise ValidationError("joint probability table must be symmetric")
             if np.any(pij <= 0) or np.any(pij > 1):
                 raise ValidationError("joint probabilities must lie in (0, 1]")
-            if self.first_order is not None and not np.allclose(
-                np.diag(pij), self.first_order
-            ):
-                raise ValidationError("diagonal of joint table must equal pi_i")
 
     def srs_probabilities(self, n: int) -> tuple[float, float]:
         """First- and second-order inclusion probabilities under SRS."""
@@ -206,17 +198,7 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
     if kind is SampleKind.NON_PROBABILITY_B and schema.response is None:
         raise MissingColumn("<response>")
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(str(path)) from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
-
-    if not rows:
-        raise EmptyFile(str(path))
+    header, rows = read_table(path)
 
     declared = list(schema.covariates)
     if schema.response is not None:
@@ -231,6 +213,11 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
 
     # Raw string columns, then numeric parse / indicator expansion per column.
     raw = {name: [row[index[name]] for row in rows] for name in declared}
+
+    def numeric(name: str) -> np.ndarray:
+        return np.array(
+            [_parse_numeric(v, name, i + 1) for i, v in enumerate(raw[name])]
+        )
 
     columns: dict[str, np.ndarray] = {}
     covariate_names: list[str] = []
@@ -249,41 +236,18 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
                 )
                 covariate_names.append(col_name)
         else:
-            columns[name] = np.array(
-                [_parse_numeric(v, name, i + 1) for i, v in enumerate(raw[name])]
-            )
+            columns[name] = numeric(name)
             covariate_names.append(name)
-
-    response_name = None
-    if schema.response is not None:
-        columns[schema.response] = np.array(
-            [
-                _parse_numeric(v, schema.response, i + 1)
-                for i, v in enumerate(raw[schema.response])
-            ]
-        )
-        response_name = schema.response
-
-    weight_name = None
-    if schema.weight is not None:
-        w = np.array(
-            [
-                _parse_numeric(v, schema.weight, i + 1)
-                for i, v in enumerate(raw[schema.weight])
-            ]
-        )
-        bad = np.flatnonzero(w <= 0)
-        if bad.size:
-            raise NonPositiveWeight(int(bad[0]) + 1, float(w[bad[0]]))
-        columns[schema.weight] = w
-        weight_name = schema.weight
+    for name in (schema.response, schema.weight):
+        if name is not None:
+            columns[name] = numeric(name)
 
     return SurveySample(
         columns=columns,
         covariate_names=tuple(covariate_names),
         kind=kind,
-        response_name=response_name,
-        weight_name=weight_name,
+        response_name=schema.response,
+        weight_name=schema.weight,
     )
 
 
@@ -294,12 +258,7 @@ def write_sample(sample: SurveySample, path) -> None:
         names.append(sample.response_name)
     if sample.weight_name:
         names.append(sample.weight_name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        cols = [sample.columns[name] for name in names]
-        for i in range(sample.n):
-            writer.writerow([repr(float(c[i])) for c in cols])
+    write_table(path, names, [sample.columns[name] for name in names])
 
 
 def build_design_matrix(

@@ -2,7 +2,8 @@
 
 Two base classes split failures into data-validation problems (bad files,
 bad schemas, bad design metadata) and numerical problems (singular systems,
-non-convergent solvers).  The CLI maps these to distinct exit codes.
+non-convergent solvers); a third marks malformed command-line settings.  The
+CLI maps these to distinct exit codes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ class ValidationError(Exception):
 
 class NumericalError(Exception):
     """A numerical procedure failed (singularity, divergence, overflow)."""
+
+
+class UsageError(Exception):
+    """A flag, environment variable or config file value is malformed."""
 
 
 # -- data / schema -----------------------------------------------------------
@@ -49,6 +54,12 @@ class MissingValue(ValidationError):
         self.column = column
         self.row = row
         super().__init__(f"missing value in column {column!r}, row {row}")
+
+
+class RaggedRow(ValidationError):
+    def __init__(self, row: int, cells: int, expected: int):
+        self.row = row
+        super().__init__(f"row {row} has {cells} cells but the header has {expected}")
 
 
 class UnknownCovariate(ValidationError):
@@ -104,9 +115,10 @@ class SingularSystem(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    def __init__(self, iterations: int, score_norm: float):
+    def __init__(self, iterations: int, score_norm: float, last=None):
         self.iterations = iterations
         self.score_norm = score_norm
+        self.last = last
         super().__init__(
             f"no convergence after {iterations} iterations (score norm {score_norm:.3e})"
         )

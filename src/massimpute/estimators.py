@@ -8,7 +8,6 @@ counterparts, then inverse-weights the B responses.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,18 +17,18 @@ from .data_model import (
     SurveySample,
     estimate_population_size,
 )
-from .errors import (
-    ColumnMismatch,
-    DimensionMismatch,
-    NoConvergence,
-    RankDeficient,
-    ZeroPropensity,
+from .errors import ColumnMismatch, DimensionMismatch, ZeroPropensity
+from .mean_model import (
+    FittedModel,
+    ModelFamily,
+    SolverConfig,
+    damped_newton,
+    mean_values,
+    predict_all,
 )
-from .mean_model import FittedModel, SolverConfig, predict_all
 
 
 class EstimatorKind(enum.Enum):
-    HT = "ht"
     MASS_IMPUTATION = "mass_imputation"
     NAIVE_B = "naive_b"
     IPW = "ipw"
@@ -56,9 +55,6 @@ class EstimateReport:
             doc["variance"] = self.variance
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def ht_mean(values: np.ndarray, weights: np.ndarray, population_size: float) -> float:
     """Design-weighted mean: the weighted total scaled by the population size."""
@@ -79,8 +75,6 @@ def mass_imputation_estimate(
     population_size: float | None = None,
 ) -> EstimateReport:
     """Weighted mean of the model predictions over sample A."""
-    if design_matrix_a.column_names != model.covariate_names:
-        raise ColumnMismatch(model.covariate_names, design_matrix_a.column_names)
     n_used = (
         population_size
         if population_size is not None
@@ -116,15 +110,6 @@ class PropensityModel:
     covariate_names: tuple[str, ...]
 
 
-def _participation_score(
-    phi: np.ndarray, xa: np.ndarray, wa: np.ndarray, xb_total: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    eta = np.clip(xa @ phi, -700.0, 700.0)
-    pi = 1.0 / (1.0 + np.exp(-eta))
-    score = xb_total - xa.T @ (wa * pi)
-    return score, pi
-
-
 def fit_propensity(
     sample_a: SurveySample,
     sample_b: SurveySample,
@@ -143,36 +128,25 @@ def fit_propensity(
     wa = sample_a.weights
     xb_total = design_b.values.sum(axis=0)
 
-    phi = np.zeros(design_a.p)
-    score, pi = _participation_score(phi, xa, wa, xb_total)
-    norm = float(np.max(np.abs(score)))
-    for iteration in range(1, config.max_iterations + 1):
-        if norm <= config.tolerance:
-            return PropensityModel(phi, norm, iteration - 1, design_a.column_names)
-        jac = -(xa.T * (wa * pi * (1.0 - pi))) @ xa
-        try:
-            step = np.linalg.solve(jac, -score)
-        except np.linalg.LinAlgError:
-            raise RankDeficient("singular information matrix in propensity fit") from None
-        scale = 1.0
-        for _ in range(config.max_halvings + 1):
-            candidate = phi + scale * step
-            cand_score, cand_pi = _participation_score(candidate, xa, wa, xb_total)
-            cand_norm = float(np.max(np.abs(cand_score)))
-            if cand_norm < norm:
-                break
-            scale *= 0.5
-        phi, score, pi, norm = candidate, cand_score, cand_pi, cand_norm
-    if norm <= config.tolerance:
-        return PropensityModel(phi, norm, config.max_iterations, design_a.column_names)
-    raise NoConvergence(config.max_iterations, norm)
+    pi = None
+
+    def score(phi):
+        nonlocal pi
+        pi = mean_values(ModelFamily.LOGISTIC, xa, phi)
+        return xb_total - xa.T @ (wa * pi)
+
+    def jacobian(phi):
+        # pi was computed at phi by the score call just before this one
+        return -(xa.T * (wa * pi * (1.0 - pi))) @ xa
+
+    phi, iterations, norm = damped_newton(score, jacobian, np.zeros(design_a.p), config)
+    return PropensityModel(phi, norm, iterations, design_a.column_names)
 
 
 def propensity_values(model: PropensityModel, design: DesignMatrix) -> np.ndarray:
     if design.column_names != model.covariate_names:
         raise ColumnMismatch(model.covariate_names, design.column_names)
-    eta = np.clip(design.values @ model.phi_hat, -700.0, 700.0)
-    return 1.0 / (1.0 + np.exp(-eta))
+    return mean_values(ModelFamily.LOGISTIC, design.values, model.phi_hat)
 
 
 def ipw_estimate(

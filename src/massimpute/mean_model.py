@@ -45,7 +45,7 @@ class SolverConfig:
 
 
 def _clipped_exp(eta: np.ndarray) -> np.ndarray:
-    if np.any(np.abs(eta) > _EXP_CLIP):
+    if np.abs(eta).max(initial=0.0) > _EXP_CLIP:
         warnings.warn(
             "exp argument saturated to avoid overflow", OverflowGuardWarning,
             stacklevel=3,
@@ -114,7 +114,6 @@ class FittedModel:
     intercept_included: bool
     iterations: int
     final_score_norm: float
-    h_choice: str = "canonical"
 
     def to_json(self) -> str:
         doc = {
@@ -124,12 +123,13 @@ class FittedModel:
             "intercept_included": self.intercept_included,
             "iterations": self.iterations,
             "final_score_norm": self.final_score_norm,
-            "h_choice": self.h_choice,
         }
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FittedModel":
+        """Parse a model document; keys it does not use, such as the
+        ``h_choice`` that older files carry, are ignored."""
         doc = json.loads(text)
         return cls(
             family=ModelFamily(doc["family"]),
@@ -138,7 +138,6 @@ class FittedModel:
             intercept_included=doc["intercept_included"],
             iterations=doc["iterations"],
             final_score_norm=doc["final_score_norm"],
-            h_choice=doc.get("h_choice", "canonical"),
         )
 
 
@@ -152,6 +151,53 @@ def _solve_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise RankDeficient()
     return beta
+
+
+def damped_newton(score, jacobian, x0: np.ndarray, config: SolverConfig):
+    """Newton root-finding with step-halving on the max-norm of ``score``.
+
+    ``score(x)`` is the vector to drive to zero and ``jacobian(x)`` its
+    derivative matrix; ``jacobian`` is only asked for the point most recently
+    passed to ``score``.  Each full Newton step is halved until the score norm
+    decreases, up to ``config.max_halvings`` times; the last candidate is
+    taken either way.  Returns (x, iterations, norm).  Raises
+    :class:`NoConvergence`, carrying the last iterate, when ``x`` leaves the
+    ``config.divergence_bound`` ball or the iteration cap is reached.
+    """
+    x = x0
+    s = score(x)
+    norm = float(np.max(np.abs(s)))
+    for iteration in range(1, config.max_iterations + 1):
+        if norm <= config.tolerance:
+            return x, iteration - 1, norm
+        try:
+            step = np.linalg.solve(jacobian(x), -s)
+        except np.linalg.LinAlgError:
+            raise RankDeficient("singular Jacobian in Newton solve") from None
+        scale = 1.0
+        for _ in range(config.max_halvings + 1):
+            candidate = x + scale * step
+            cand_score = score(candidate)
+            cand_norm = float(np.max(np.abs(cand_score)))
+            if cand_norm < norm:
+                break
+            scale *= 0.5
+        x, s, norm = candidate, cand_score, cand_norm
+        if np.linalg.norm(x) > config.divergence_bound:
+            raise NoConvergence(iteration, norm, x)
+    if norm <= config.tolerance:
+        return x, config.max_iterations, norm
+    raise NoConvergence(config.max_iterations, norm, x)
+
+
+def _check_separation(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> None:
+    # Under perfect separation the score converges numerically once the
+    # fitted probabilities saturate, so pinned probabilities are the
+    # reliable signal; the coefficient norm alone never trips first.
+    if family is ModelFamily.LOGISTIC:
+        m = mean_values(family, X, beta)
+        if np.all(np.minimum(m, 1.0 - m) < 1e-8):
+            raise Separation()
 
 
 def solve_quasi_score(
@@ -175,49 +221,21 @@ def solve_quasi_score(
     if check_rank and np.linalg.matrix_rank(X) < p:
         raise RankDeficient()
 
-    def check_separation(beta):
-        # Under perfect separation the score converges numerically once the
-        # fitted probabilities saturate, so pinned probabilities are the
-        # reliable signal; the coefficient norm alone never trips first.
-        if family is ModelFamily.LOGISTIC:
-            m = mean_values(family, X, beta)
-            if np.all(np.minimum(m, 1.0 - m) < 1e-8):
-                raise Separation()
+    def score(beta):
+        return (X.T @ (y - mean_values(family, X, beta))) / n
 
-    beta = np.zeros(p)
-    score = (X.T @ (y - mean_values(family, X, beta))) / n
-    norm = float(np.max(np.abs(score)))
-    for iteration in range(1, config.max_iterations + 1):
-        if norm <= config.tolerance:
-            check_separation(beta)
-            return beta, iteration - 1, norm
+    def jacobian(beta):
         m = mean_values(family, X, beta)
-        if family is ModelFamily.LOGISTIC:
-            w = m * (1.0 - m)
-        else:
-            w = m
-        jac = -(X.T * w) @ X / n
-        try:
-            step = np.linalg.solve(jac, -score)
-        except np.linalg.LinAlgError:
-            raise RankDeficient("singular Jacobian in quasi-score solve") from None
-        # step-halving on the score norm
-        scale = 1.0
-        for _ in range(config.max_halvings + 1):
-            candidate = beta + scale * step
-            cand_score = (X.T @ (y - mean_values(family, X, candidate))) / n
-            cand_norm = float(np.max(np.abs(cand_score)))
-            if cand_norm < norm:
-                break
-            scale *= 0.5
-        beta, score, norm = candidate, cand_score, cand_norm
-        if np.linalg.norm(beta) > config.divergence_bound:
-            check_separation(beta)
-            raise NoConvergence(iteration, norm)
-    if norm <= config.tolerance:
-        check_separation(beta)
-        return beta, config.max_iterations, norm
-    raise NoConvergence(config.max_iterations, norm)
+        w = m * (1.0 - m) if family is ModelFamily.LOGISTIC else m
+        return -(X.T * w) @ X / n
+
+    try:
+        beta, iterations, norm = damped_newton(score, jacobian, np.zeros(p), config)
+    except NoConvergence as exc:
+        _check_separation(family, X, exc.last)
+        raise
+    _check_separation(family, X, beta)
+    return beta, iterations, norm
 
 
 def fit_model(

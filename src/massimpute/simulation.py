@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .bootstrap import bootstrap_variance, build_replicates, replicate_estimates
 from .data_model import (
-    DesignSpec,
     SampleKind,
     SurveySample,
     build_design_matrix,
@@ -40,6 +39,7 @@ from .estimators import (
     naive_mean,
 )
 from .mean_model import ModelFamily, fit_model
+from .table import write_table
 from .variance import VarianceStrategyA, linearized_variance
 
 MODEL_IDS = ("I", "II", "III")
@@ -162,10 +162,6 @@ def _rep_seed(master: int, rep: int, tag: int):
     return np.random.SeedSequence([master, rep, tag])
 
 
-def _int_seed(master: int, rep: int, tag: int) -> int:
-    return int(np.random.SeedSequence([master, rep, tag]).generate_state(1)[0])
-
-
 def _run_one_rep(population: Population, config: SimConfig, rep: int) -> dict:
     N = float(config.population_size)
     design_spec = srs_design(N)
@@ -213,7 +209,7 @@ def _run_one_rep(population: Population, config: SimConfig, rep: int) -> dict:
             design_b,
             design_spec,
             config.bootstrap_L,
-            _int_seed(config.master_seed, rep, 2),
+            int(_rep_seed(config.master_seed, rep, 2).generate_state(1)[0]),
         )
         thetas = replicate_estimates(reps_set, N)
         out["v_boot"] = bootstrap_variance(out["theta_i"], thetas)
@@ -329,9 +325,4 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
 
 
 def write_per_rep_csv(report: SimReport, path) -> None:
-    names = list(report.per_rep)
-    cols = [report.per_rep[name] for name in names]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(len(cols[0])):
-            fh.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+    write_table(path, list(report.per_rep), list(report.per_rep.values()))

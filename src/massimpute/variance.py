@@ -28,10 +28,20 @@ class VarianceStrategyA(enum.Enum):
     PPSWR_APPROX = "ppswr_approx"
 
 
+def interval_summary(v_total: float) -> dict:
+    """Variance with its standard error and 95% normal-interval half-width."""
+    se = float(np.sqrt(max(v_total, 0.0)))
+    return {
+        "v_total": v_total,
+        "standard_error": se,
+        "ci_level": 0.95,
+        "ci_half_width": 1.96 * se,
+    }
+
+
 @dataclass(frozen=True)
 class LinearizationComponents:
     c_hat: np.ndarray
-    residuals: np.ndarray
     v_a: float
     v_b: float
     strategy_a: VarianceStrategyA
@@ -41,15 +51,11 @@ class LinearizationComponents:
         return self.v_a + self.v_b
 
     def to_dict(self) -> dict:
-        se = float(np.sqrt(max(self.v_total, 0.0)))
         return {
             "v_a": self.v_a,
             "v_b": self.v_b,
-            "v_total": self.v_total,
             "strategy_a": self.strategy_a.value,
-            "standard_error": se,
-            "ci_level": 0.95,
-            "ci_half_width": 1.96 * se,
+            **interval_summary(self.v_total),
         }
 
 
@@ -161,14 +167,10 @@ def linearized_variance(
     if strategy is None:
         strategy = default_strategy(design_spec)
     c_hat = compute_c_hat(model, sample_a, design_a, design_b)
-    resid = sample_b.responses - mean_values(
-        model.family, design_b.values, model.beta_hat
-    )
-    g = design_b.values @ c_hat
-    v_b = float(np.sum(resid**2 * g**2) / population_size**2)
+    v_b = variance_component_b(model, sample_b, design_b, c_hat, population_size)
     v_a = variance_component_a(
         model, sample_a, design_a, design_spec, strategy, population_size
     )
     return LinearizationComponents(
-        c_hat=c_hat, residuals=resid, v_a=v_a, v_b=v_b, strategy_a=strategy
+        c_hat=c_hat, v_a=v_a, v_b=v_b, strategy_a=strategy
     )

@@ -19,7 +19,7 @@ from massimpute import (
     write_augmented_dataset,
 )
 from massimpute.bootstrap import estimate_from_augmented
-from massimpute.errors import UnsupportedDesign, ValidationError
+from massimpute.errors import ColumnMismatch, UnsupportedDesign, ValidationError
 
 from conftest import make_sample_a, make_sample_b
 
@@ -150,6 +150,15 @@ class TestBuildReplicates:
             build_replicates(
                 model, sample_a, sample_b, design_a, design_b,
                 srs_design(150.0), L=0, seed=1,
+            )
+
+    def test_design_columns_must_match_model(self, rng):
+        model, sample_a, sample_b, _, design_b = _small_setup(rng)
+        design_a = build_design_matrix(sample_a, ("w",), intercept=True)
+        with pytest.raises(ColumnMismatch):
+            build_replicates(
+                model, sample_a, sample_b, design_a, design_b,
+                srs_design(150.0), L=2, seed=1,
             )
 
     def test_degenerate_b_collapses_to_weight_variability(self, rng):

@@ -1,9 +1,16 @@
 """Command-line interface: pipelines, reports, determinism, exit codes."""
 
+import contextlib
+import csv
+import io
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massimpute.cli import run_cli
 
@@ -154,6 +161,12 @@ class TestBootstrapCommand:
         assert doc["variance"]["L"] == 30
         assert doc["n_b"] == 0
 
+        point = pipeline_files["dir"] / "point.json"
+        assert run_cli([
+            "estimate", "--imputed", str(out), "--report", str(point),
+        ]) == 0
+        assert json.loads(point.read_text())["theta_hat"] == doc["theta_hat"]
+
     def test_seed_env_override(self, pipeline_files, monkeypatch):
         first = pipeline_files["dir"] / "aug1.csv"
         second = pipeline_files["dir"] / "aug2.csv"
@@ -222,3 +235,212 @@ def test_config_file_supplies_defaults(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     np.testing.assert_allclose(doc["beta_hat"], [1.0, 2.0], atol=1e-10)
+
+
+def _levels_file(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return str(path)
+
+
+def _level_files(tmp_path, rng, levels_b, levels_a, x_name="x"):
+    """Sample B (x, g, y) and sample A (x, g, w) with categorical g."""
+    effect = dict(zip(levels_b, [0.0, 0.5, -0.5]))
+    g_b = [levels_b[i % 3] for i in range(60)]
+    x_b = rng.normal(2, 1, size=60)
+    y_b = 1 + 2 * x_b + np.array([effect[g] for g in g_b]) + rng.normal(size=60)
+    g_a = [levels_a[i % 3] for i in range(30)]
+    x_a = rng.normal(2, 1, size=30)
+    train = _levels_file(
+        tmp_path / "b.csv", [x_name, "g", "y"],
+        [[repr(x), g, repr(y)] for x, g, y in zip(x_b.tolist(), g_b, y_b.tolist())],
+    )
+    sample_a = _levels_file(
+        tmp_path / "a.csv", [x_name, "g", "w"],
+        [[repr(x), g, "30.0"] for x, g in zip(x_a.tolist(), g_a)],
+    )
+    return train, sample_a
+
+
+def test_bootstrap_rejects_level_missing_from_b(tmp_path, rng, capsys):
+    train, sample_a = _level_files(tmp_path, rng, ["r", "a", "b"], ["r", "a", "c"])
+    code = run_cli([
+        "bootstrap", "--train", train, "--response", "y",
+        "--covariates", "x,g", "--categorical", "g=r",
+        "--sample-a", sample_a, "--weight", "w", "--L", "5",
+        "--out", str(tmp_path / "aug.csv"),
+    ])
+    assert code == 3
+    assert "g=b" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_names_that_need_quoting_round_trip(tmp_path, rng):
+    x_name = 'x"1'
+    train, sample_a = _level_files(
+        tmp_path, rng, ["r", "a,b", 'c"d'], ["r", "a,b", 'c"d'], x_name
+    )
+    model, imputed = tmp_path / "model.json", tmp_path / "imputed.csv"
+    fit_args = [
+        "--train", train, "--response", "y",
+        "--covariates", f"{x_name},g", "--categorical", "g=r",
+    ]
+    assert run_cli(["fit", *fit_args, "--out", str(model)]) == 0
+    assert run_cli([
+        "impute", "--model", str(model), "--sample-a", sample_a,
+        "--weight", "w", "--out", str(imputed),
+    ]) == 0
+    linearized = tmp_path / "linearized.json"
+    assert run_cli([
+        "estimate", "--imputed", str(imputed), "--variance", "linearized",
+        "--train", train, "--report", str(linearized),
+    ]) == 0
+
+    release = tmp_path / "release.csv"
+    assert run_cli([
+        "bootstrap", *fit_args, "--sample-a", sample_a, "--weight", "w",
+        "--L", "5", "--seed", "2", "--out", str(release),
+    ]) == 0
+    with open(release, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[:4] == [x_name, "g=a,b", 'g=c"d', "w"]
+    boot = tmp_path / "boot.json"
+    assert run_cli([
+        "estimate", "--imputed", str(release), "--variance", "bootstrap",
+        "--report", str(boot),
+    ]) == 0
+    theta = json.loads(linearized.read_text())["theta_hat"]
+    assert json.loads(boot.read_text())["theta_hat"] == pytest.approx(theta, rel=1e-12)
+
+    # imputed files written with CRLF line endings still read the same
+    imputed.write_bytes(imputed.read_bytes().replace(b"\n", b"\r\n"))
+    again = tmp_path / "again.json"
+    assert run_cli([
+        "estimate", "--imputed", str(imputed), "--variance", "linearized",
+        "--train", train, "--report", str(again),
+    ]) == 0
+    assert json.loads(again.read_text())["variance"] == json.loads(
+        linearized.read_text()
+    )["variance"]
+
+
+def _bad_input_case(case, files, monkeypatch):
+    """Arguments for one malformed-input case."""
+    d = files["dir"]
+    boot = [
+        "bootstrap", "--train", files["train"], "--response", "y",
+        "--covariates", "x", "--sample-a", files["sample_a"], "--weight", "w",
+        "--L", "3", "--out", str(d / "aug.csv"),
+    ]
+    if case == "missing input file":
+        return ["fit", "--train", str(d / "absent.csv"), "--response", "y",
+                "--covariates", "x", "--out", str(d / "m.json")]
+    if case == "missing manifest":
+        return ["estimate", "--imputed", files["sample_a"], "--report",
+                str(d / "r.json")]
+    if case == "missing release manifest":
+        return ["estimate", "--imputed", files["sample_a"], "--variance",
+                "bootstrap", "--report", str(d / "r.json")]
+    if case == "missing config file":
+        return ["--config", str(d / "absent.json"), *boot]
+    if case == "ragged row":
+        with open(files["train"], "a") as fh:
+            fh.write("1.0,2.0,3.0\n")
+        return boot
+    if case == "non-integer seed":
+        monkeypatch.setenv("MASSIMPUTE_SEED", "seven")
+        return boot
+    if case == "non-integer threads":
+        monkeypatch.setenv("MASSIMPUTE_THREADS", "2.5")
+        return ["simulate", "--model", "I", "--reps", "1",
+                "--report", str(d / "s.json")]
+    if case == "malformed config":
+        (d / "cfg.json").write_text('{"response": ')
+        return ["--config", str(d / "cfg.json"), *boot]
+    if case == "non-numeric pop size":
+        return [*boot, "--pop-size", "many"]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case, code, error", [
+    ("missing input file", 3, "IOFailure"),
+    ("missing manifest", 3, "IOFailure"),
+    ("missing release manifest", 3, "IOFailure"),
+    ("missing config file", 3, "IOFailure"),
+    ("ragged row", 3, "RaggedRow"),
+    ("non-integer seed", 2, "UsageError"),
+    ("non-integer threads", 2, "UsageError"),
+    ("malformed config", 2, "UsageError"),
+    ("non-numeric pop size", 2, "UsageError"),
+])
+def test_bad_input_exits_with_json_error(
+    case, code, error, pipeline_files, monkeypatch, capsys
+):
+    argv = _bad_input_case(case, pipeline_files, monkeypatch)
+    assert run_cli(argv) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    if case == "ragged row":
+        assert "row 61" in err["message"]
+
+
+_B_ROWS = [["x", "g", "y"]] + [
+    [repr(0.25 * i), "rab"[i % 3], repr(1.0 + 0.5 * i + (-1.0) ** i)] for i in range(24)
+]
+_A_ROWS = [["x", "g", "w"]] + [
+    [repr(0.3 * i), "rab"[i % 3], "20.0"] for i in range(15)
+]
+_EDIT = st.tuples(
+    st.sampled_from(["a", "b"]),
+    st.integers(min_value=0, max_value=24),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["drop", "extend", "nan", "inf", "-inf", "", ","]),
+)
+
+
+def _mutated(rows, edits):
+    """CSV text of ``rows`` after each (row, column, op) edit; a cell set to
+    "," splits in two when the row is joined."""
+    rows = [list(row) for row in rows]
+    for row, col, op in edits:
+        cells = rows[row % len(rows)]
+        if op == "extend":
+            cells.append("1.5")
+        elif not cells:
+            continue
+        elif op == "drop":
+            del cells[col % len(cells)]
+        else:
+            cells[col % len(cells)] = op
+    return "".join(",".join(cells) + "\n" for cells in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+def test_mutated_inputs_exit_with_documented_code(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        for name, rows in (("a", _A_ROWS), ("b", _B_ROWS)):
+            mine = [(row, col, op) for f, row, col, op in edits if f == name]
+            (d / f"{name}.csv").write_text(_mutated(rows, mine))
+        fit = ["--train", str(d / "b.csv"), "--response", "y",
+               "--covariates", "x,g", "--categorical", "g=r"]
+        steps = [
+            ["fit", *fit, "--out", str(d / "m.json")],
+            ["impute", "--model", str(d / "m.json"), "--sample-a",
+             str(d / "a.csv"), "--weight", "w", "--out", str(d / "i.csv")],
+            ["estimate", "--imputed", str(d / "i.csv"), "--variance",
+             "linearized", "--train", str(d / "b.csv"), "--report",
+             str(d / "r.json")],
+            ["bootstrap", *fit, "--sample-a", str(d / "a.csv"), "--weight",
+             "w", "--L", "4", "--seed", "1", "--out", str(d / "rel.csv")],
+            ["estimate", "--imputed", str(d / "rel.csv"), "--variance",
+             "bootstrap", "--report", str(d / "rb.json")],
+        ]
+        for argv in steps:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert "error" in json.loads(err.getvalue())
+                break

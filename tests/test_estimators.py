@@ -15,8 +15,9 @@ from massimpute import (
     mass_imputation_estimate,
     naive_mean,
 )
-from massimpute.errors import DimensionMismatch
-from massimpute.estimators import propensity_values
+from massimpute.errors import DimensionMismatch, NoConvergence, OverflowGuardWarning
+from massimpute.estimators import PropensityModel, propensity_values
+from massimpute.mean_model import SolverConfig
 
 from conftest import make_sample_a, make_sample_b
 
@@ -166,6 +167,25 @@ class TestPropensity:
         np.testing.assert_allclose(
             model.phi_hat, [best[1], best[2]], atol=spacing
         )
+
+    def test_unattainable_totals_stop_at_divergence_bound(self, rng):
+        # B has more units than A's weights total, so no probability in
+        # (0, 1) balances the score and the intercept runs off to infinity
+        sample_a = make_sample_a(rng.normal(size=10), np.full(10, 2.0))
+        sample_b = make_sample_b(rng.normal(size=30), np.zeros(30))
+        design_a = build_design_matrix(sample_a, (), intercept=True)
+        design_b = build_design_matrix(sample_b, (), intercept=True)
+        with pytest.warns(OverflowGuardWarning), pytest.raises(NoConvergence) as exc:
+            fit_propensity(sample_a, sample_b, design_a, design_b)
+        assert exc.value.iterations < SolverConfig().max_iterations
+
+    def test_extreme_design_warns_and_saturates(self):
+        sample_a = make_sample_a([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        design = build_design_matrix(sample_a, (), intercept=True)
+        model = PropensityModel(np.array([-800.0]), 0.0, 0, ("(intercept)",))
+        with pytest.warns(OverflowGuardWarning):
+            pi = propensity_values(model, design)
+        np.testing.assert_array_equal(pi, 1.0 / (1.0 + np.exp(700.0)))
 
     def test_ipw_intercept_only_identity(self, rng):
         y_b = rng.normal(size=30)

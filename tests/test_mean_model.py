@@ -1,5 +1,7 @@
 """Mean families, gradients, quasi-score fitting, and prediction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,7 @@ def test_serialization_round_trip(rng):
     assert again.family == model.family
     np.testing.assert_array_equal(again.beta_hat, model.beta_hat)
     assert again.covariate_names == model.covariate_names
+    # model files written before h_choice was dropped still load
+    old_doc = dict(json.loads(model.to_json()), h_choice="canonical")
+    legacy = FittedModel.from_json(json.dumps(old_doc))
+    np.testing.assert_array_equal(legacy.beta_hat, model.beta_hat)
