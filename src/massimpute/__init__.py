@@ -20,7 +20,6 @@ from .data_model import (  # noqa: F401
 from .mean_model import (  # noqa: F401
     FittedModel,
     ModelFamily,
-    SolverConfig,
     fit_model,
     mean_gradient,
     mean_value,

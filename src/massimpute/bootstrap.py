@@ -14,6 +14,7 @@ identical whether replicates are computed serially or in parallel.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -23,17 +24,13 @@ from .data_model import DesignKind, DesignMatrix, DesignSpec, SurveySample
 from .errors import (
     ColumnMismatch,
     IOFailure,
+    NonPositiveWeight,
     NumericalError,
     UnsupportedDesign,
     ValidationError,
 )
-from .mean_model import (
-    FittedModel,
-    ModelFamily,
-    SolverConfig,
-    mean_values,
-    solve_quasi_score,
-)
+from .estimators import ht_mean
+from .mean_model import FittedModel, ModelFamily, mean_values, solve_quasi_score
 from .table import read_table, write_table
 
 _REFIT_RETRY_CAP = 10
@@ -87,7 +84,6 @@ def bootstrap_refit(
     design_b: DesignMatrix,
     L: int,
     seed: int,
-    config: SolverConfig = SolverConfig(),
 ) -> tuple[np.ndarray, int]:
     """Refit the mean model on L with-replacement resamples of sample B.
 
@@ -107,9 +103,7 @@ def bootstrap_refit(
             rng = _stream(seed, k, 1, attempt)
             idx = rng.integers(0, n, size=n)
             try:
-                beta, _, _ = solve_quasi_score(
-                    family, X[idx], y[idx], config, check_rank=False
-                )
+                beta, _, _ = solve_quasi_score(family, X[idx], y[idx])
             except NumericalError:
                 retries += 1
                 continue
@@ -131,13 +125,12 @@ def build_replicates(
     design_spec: DesignSpec,
     L: int,
     seed: int,
-    config: SolverConfig = SolverConfig(),
 ) -> ReplicateSet:
     """Compose the four bootstrap steps into a paired replicate set."""
     if design_a.column_names != model.covariate_names:
         raise ColumnMismatch(model.covariate_names, design_a.column_names)
     rep_w = replicate_weights(sample_a, design_spec, L, seed)
-    betas, retries = bootstrap_refit(sample_b, model.family, design_b, L, seed, config)
+    betas, retries = bootstrap_refit(sample_b, model.family, design_b, L, seed)
     # column k of imputations comes from replicate k's coefficients only
     rep_yhat = mean_values(model.family, design_a.values, betas.T)
     base = mean_values(model.family, design_a.values, model.beta_hat)
@@ -151,14 +144,11 @@ def build_replicates(
     )
 
 
-def replicate_estimates(
-    replicate_set: ReplicateSet, population_size: float
-) -> np.ndarray:
-    """Replicate point estimates: weighted imputation totals over N."""
-    return (
-        np.sum(replicate_set.replicate_weights * replicate_set.replicate_imputations, axis=0)
-        / population_size
-    )
+def replicate_estimates(replicate_set, population_size: float) -> np.ndarray:
+    """Replicate point estimates: weighted imputation totals over N, for a
+    :class:`ReplicateSet` or an :class:`AugmentedDataset`."""
+    products = replicate_set.replicate_weights * replicate_set.replicate_imputations
+    return np.sum(products, axis=0) / population_size
 
 
 def bootstrap_variance(theta_hat: float, replicate_values: np.ndarray) -> float:
@@ -170,6 +160,10 @@ def bootstrap_variance(theta_hat: float, replicate_values: np.ndarray) -> float:
 
 
 # -- release file ------------------------------------------------------------
+
+# an imputed file reads as a release file without replicate columns
+IMPUTED_FORMAT = "massimpute-imputed-v1"
+
 
 def manifest_path(csv_path) -> str:
     return str(csv_path) + ".manifest.json"
@@ -223,7 +217,8 @@ def write_augmented_dataset(
 
 @dataclass(frozen=True)
 class AugmentedDataset:
-    """In-memory view of a release file; enough to estimate without sample B."""
+    """In-memory view of a release file, or of an imputed file with L = 0;
+    enough to estimate without sample B."""
 
     weights: np.ndarray
     yhat: np.ndarray
@@ -233,25 +228,43 @@ class AugmentedDataset:
 
     @property
     def L(self) -> int:
-        return self.manifest["L"]
+        return self.replicate_weights.shape[1]
 
-    def population_size_used(self) -> float:
+    def population_size_used(self, population_size: float | None = None) -> float:
+        """N: the given size, else the manifest's, else the weight total."""
+        if population_size is not None:
+            return population_size
         if self.manifest.get("population_size") is not None:
             return float(self.manifest["population_size"])
         return float(np.sum(self.weights))
 
 
 def read_augmented_dataset(path) -> AugmentedDataset:
+    """Read a release file, or an imputed file as one with L = 0.
+
+    A malformed manifest, a non-finite cell or a non-positive weight raises
+    :class:`ValidationError`.
+    """
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
         raise IOFailure(f"manifest not found: {mpath}")
     with open(mpath) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{mpath}: malformed JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("weight_name"), str):
+        raise ValidationError(f"{mpath}: no 'weight_name' column name")
+    L = 0 if manifest.get("format") == IMPUTED_FORMAT else manifest.get("L")
+    if type(L) is not int or L < 0:
+        raise ValidationError(f"{mpath}: 'L' must be an integer >= 0, got {L!r}")
+    N = manifest.get("population_size")
+    if N is not None and not (type(N) in (int, float) and 0 < N < math.inf):
+        raise ValidationError(f"{mpath}: 'population_size' must be positive or null")
+
     header, rows = read_table(path)
-    L = manifest["L"]
-    names = [manifest["weight_name"], "yhat"]
-    names += [f"w_rep_{k + 1}" for k in range(L)]
-    names += [f"yhat_rep_{k + 1}" for k in range(L)]
+    reps = [f"{kind}_rep_{k + 1}" for kind in ("w", "yhat") for k in range(L)]
+    names = [manifest["weight_name"], "yhat", *reps]
     try:
         columns = [header.index(name) for name in names]
     except ValueError:
@@ -262,6 +275,13 @@ def read_augmented_dataset(path) -> AugmentedDataset:
         data = np.array(rows, dtype=float).take(columns, axis=1)
     except ValueError as exc:
         raise IOFailure(f"non-numeric cell in augmented file: {exc}") from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValidationError(f"non-finite value in column {names[col]!r}, row {row + 1}")
+    bad = np.flatnonzero(data[:, 0] <= 0)
+    if bad.size:
+        raise NonPositiveWeight(int(bad[0]) + 1, float(data[bad[0], 0]))
     return AugmentedDataset(
         weights=data[:, 0],
         yhat=data[:, 1],
@@ -271,14 +291,9 @@ def read_augmented_dataset(path) -> AugmentedDataset:
     )
 
 
-def estimate_from_augmented(
-    dataset: AugmentedDataset, population_size: float | None = None
-) -> tuple[float, float]:
+def estimate_from_augmented(dataset: AugmentedDataset) -> tuple[float, float]:
     """Point estimate and bootstrap variance recomputed from the file alone,
-    over ``population_size`` or else the file's own population size."""
-    N = population_size if population_size is not None else dataset.population_size_used()
-    theta = float(np.sum(dataset.weights * dataset.yhat) / N)
-    thetas = (
-        np.sum(dataset.replicate_weights * dataset.replicate_imputations, axis=0) / N
-    )
-    return theta, bootstrap_variance(theta, thetas)
+    over :meth:`AugmentedDataset.population_size_used`."""
+    N = dataset.population_size_used()
+    theta = ht_mean(dataset.yhat, dataset.weights, N)
+    return theta, bootstrap_variance(theta, replicate_estimates(dataset, N))

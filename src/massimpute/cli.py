@@ -1,9 +1,11 @@
 """Command-line front end: fit, impute, estimate, bootstrap, simulate.
 
-All reports are JSON, all data tables CSV.  Every artifact embeds the seed,
-tool version, and SHA-256 digests of its inputs, and identical invocations
-reproduce byte-identical outputs.  Exit codes: 2 usage, 3 data validation,
-4 numerical failure; errors are emitted as a JSON object on stderr.
+All reports are JSON, all data tables CSV.  The model, the imputed-file
+manifest and the estimate report carry the tool version and SHA-256 digests
+of their inputs; the release manifest and the simulate report carry the seed.
+Identical invocations reproduce byte-identical outputs.  Exit codes: 2 usage,
+3 data validation, 4 numerical failure; errors are emitted as a JSON object
+on stderr.
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ import sys
 
 from . import __version__
 from .bootstrap import (
+    IMPUTED_FORMAT,
+    bootstrap_variance,
     build_replicates,
-    estimate_from_augmented,
+    manifest_path,
     read_augmented_dataset,
+    replicate_estimates,
     write_augmented_dataset,
 )
 from .data_model import (
     ColumnSchema,
     SampleKind,
     build_design_matrix,
-    estimate_population_size,
     load_sample,
     ppswr_design,
     srs_design,
@@ -64,12 +68,12 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _read_json(path) -> dict:
+def _read_json(path, error=ValidationError) -> dict:
     with open(path) as fh:
         try:
             return json.load(fh)
         except ValueError as exc:
-            raise ValidationError(f"{path}: malformed JSON: {exc}") from None
+            raise error(f"{path}: malformed JSON: {exc}") from None
 
 
 def _load_config_defaults(argv) -> dict:
@@ -79,11 +83,7 @@ def _load_config_defaults(argv) -> dict:
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return {}
-    with open(known.config) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"--config {known.config}: malformed JSON: {exc}") from None
+    doc = _read_json(known.config, UsageError)
     if not isinstance(doc, dict):
         raise UsageError(f"--config {known.config}: expected a JSON object")
     return doc
@@ -212,7 +212,11 @@ def cmd_fit(args) -> int:
 
 
 def _load_sample_a(path, weight, model, covariates, categoricals):
-    """Sample A, with its design built from the model's column names."""
+    """Sample A, with its design built from the model's column names.
+
+    A column of A that the model lacks, such as a categorical level that
+    sample B never saw, has no coefficient and is rejected.
+    """
     schema = ColumnSchema(
         covariates=tuple(covariates), weight=weight, categoricals=categoricals
     )
@@ -220,6 +224,10 @@ def _load_sample_a(path, weight, model, covariates, categoricals):
     design_a = build_design_matrix(
         sample_a, _raw_names(model), intercept=model.intercept_included
     )
+    unknown = [n for n in sample_a.covariate_names if n not in model.covariate_names]
+    if unknown:
+        raise ValidationError(f"sample A columns {unknown} are not in the model: "
+                              "levels that sample B lacks cannot be imputed")
     return sample_a, design_a
 
 
@@ -244,7 +252,7 @@ def cmd_impute(args) -> int:
         args.out, names + ["yhat"], [sample_a.columns[n] for n in names] + [yhat]
     )
     manifest = {
-        "format": "massimpute-imputed-v1",
+        "format": IMPUTED_FORMAT,
         "model": model_doc,
         "weight_name": args.weight,
         "version": __version__,
@@ -253,72 +261,63 @@ def cmd_impute(args) -> int:
             args.sample_a: _sha256(args.sample_a),
         },
     }
-    _write_json(args.out + ".manifest.json", manifest)
+    _write_json(manifest_path(args.out), manifest)
     return 0
 
 
 def cmd_estimate(args) -> int:
     pop_size = _pop_size(args)
+    dataset = read_augmented_dataset(args.imputed)
+    N = dataset.population_size_used(pop_size)
+    theta = ht_mean(dataset.yhat, dataset.weights, N)
     digests = {args.imputed: _sha256(args.imputed)}
     variance_block = None
     n_b = 0
 
     if args.variance == "bootstrap":
-        dataset = read_augmented_dataset(args.imputed)
-        N = pop_size if pop_size is not None else dataset.population_size_used()
-        theta, v_boot = estimate_from_augmented(dataset, N)
+        # an imputed file (L = 0) has no replicates: bootstrap_variance rejects it
+        v_boot = bootstrap_variance(theta, replicate_estimates(dataset, N))
         variance_block = {
             "method": "bootstrap", "L": dataset.L, **interval_summary(v_boot)
         }
-        n_a = len(dataset.weights)
-    else:
-        manifest = _read_json(args.imputed + ".manifest.json")
-        model = None
-        if args.variance == "linearized":
-            if not args.train:
-                raise ValidationError("linearized variance requires --train")
-            model = FittedModel.from_json(json.dumps(manifest["model"]))
-        # the point estimate needs only the weights and imputations
-        raw_names = _raw_names(model) if model else ()
-        schema_a = ColumnSchema(
-            covariates=raw_names, response="yhat", weight=manifest["weight_name"]
+    elif args.variance == "linearized":
+        if not args.train:
+            raise ValidationError("linearized variance requires --train")
+        model_doc = dataset.manifest.get("model")
+        if not isinstance(model_doc, dict):
+            raise ValidationError(f"{args.imputed} has no model: not an imputed file")
+        model = FittedModel.from_json(json.dumps(model_doc))
+        raw_names = _raw_names(model)
+        sample_a = load_sample(
+            args.imputed,
+            ColumnSchema(covariates=raw_names, weight=dataset.manifest["weight_name"]),
+            SampleKind.PROBABILITY_A,
         )
-        sample_a = load_sample(args.imputed, schema_a, SampleKind.PROBABILITY_A)
-        N = pop_size if pop_size is not None else estimate_population_size(sample_a)
-        theta = ht_mean(sample_a.responses, sample_a.weights, N)
-        n_a = sample_a.n
-
-        if model is not None:
-            schema_doc = manifest["model"].get("schema", {})
-            schema_b = ColumnSchema(
-                covariates=tuple(schema_doc.get("covariates", [])),
-                response=schema_doc.get("response"),
-                categoricals=schema_doc.get("categoricals", {}),
-            )
-            sample_b = load_sample(args.train, schema_b, SampleKind.NON_PROBABILITY_B)
-            design_b = build_design_matrix(
-                sample_b, raw_names, intercept=model.intercept_included
-            )
-            design_a = build_design_matrix(
-                sample_a, raw_names, intercept=model.intercept_included
-            )
-            if args.design == "srs":
-                if pop_size is None:
-                    raise ValidationError("SRS design needs a numeric --pop-size")
-                design_spec = srs_design(N)
-            else:
-                design_spec = ppswr_design()
-            lin = linearized_variance(
-                model, sample_a, sample_b, design_a, design_b, design_spec, N
-            )
-            variance_block = {"method": "linearized", **lin.to_dict()}
-            n_b = sample_b.n
-            digests[args.train] = _sha256(args.train)
+        schema_doc = model_doc.get("schema", {})
+        schema_b = ColumnSchema(
+            covariates=tuple(schema_doc.get("covariates", [])),
+            response=schema_doc.get("response"),
+            categoricals=schema_doc.get("categoricals", {}),
+        )
+        sample_b = load_sample(args.train, schema_b, SampleKind.NON_PROBABILITY_B)
+        design_a, design_b = (
+            build_design_matrix(s, raw_names, intercept=model.intercept_included)
+            for s in (sample_a, sample_b)
+        )
+        if args.design == "srs" and pop_size is None:
+            raise ValidationError("SRS design needs a numeric --pop-size")
+        design_spec = srs_design(N) if args.design == "srs" else ppswr_design()
+        lin = linearized_variance(
+            model, sample_a, sample_b, design_a, design_b, design_spec, N
+        )
+        variance_block = {"method": "linearized", **lin.to_dict()}
+        n_b = sample_b.n
+        digests[args.train] = _sha256(args.train)
 
     report = EstimateReport(
         theta_hat=theta,
         estimator_kind=EstimatorKind.MASS_IMPUTATION,
-        n_a=n_a,
+        n_a=len(dataset.weights),
         n_b=n_b,
         population_size_used=N,
         variance=variance_block,

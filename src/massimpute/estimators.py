@@ -21,7 +21,6 @@ from .errors import ColumnMismatch, DimensionMismatch, ZeroPropensity
 from .mean_model import (
     FittedModel,
     ModelFamily,
-    SolverConfig,
     damped_newton,
     mean_values,
     predict_all,
@@ -115,7 +114,6 @@ def fit_propensity(
     sample_b: SurveySample,
     design_a: DesignMatrix,
     design_b: DesignMatrix,
-    config: SolverConfig = SolverConfig(tolerance=1e-8),
 ) -> PropensityModel:
     """Solve the participation score equations by Newton iteration.
 
@@ -139,7 +137,7 @@ def fit_propensity(
         # pi was computed at phi by the score call just before this one
         return -(xa.T * (wa * pi * (1.0 - pi))) @ xa
 
-    phi, iterations, norm = damped_newton(score, jacobian, np.zeros(design_a.p), config)
+    phi, iterations, norm = damped_newton(score, jacobian, np.zeros(design_a.p), 1e-8)
     return PropensityModel(phi, norm, iterations, design_a.column_names)
 
 

@@ -24,24 +24,22 @@ from .errors import (
     OverflowGuardWarning,
     RankDeficient,
     Separation,
+    ValidationError,
 )
 
 # exp(x) overflows float64 just above x = 709
 _EXP_CLIP = 700.0
+
+# Limits of the damped Newton solver, shared by every iterative fit
+MAX_ITERATIONS = 100
+MAX_HALVINGS = 20
+DIVERGENCE_BOUND = 1e4
 
 
 class ModelFamily(enum.Enum):
     LINEAR = "linear"
     LOGISTIC = "logistic"
     LOGLINEAR = "loglinear"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-10
-    max_iterations: int = 100
-    max_halvings: int = 20
-    divergence_bound: float = 1e4
 
 
 def _clipped_exp(eta: np.ndarray) -> np.ndarray:
@@ -129,16 +127,20 @@ class FittedModel:
     @classmethod
     def from_json(cls, text: str) -> "FittedModel":
         """Parse a model document; keys it does not use, such as the
-        ``h_choice`` that older files carry, are ignored."""
+        ``h_choice`` that older files carry, are ignored.  A missing or
+        malformed field raises :class:`ValidationError`."""
         doc = json.loads(text)
-        return cls(
-            family=ModelFamily(doc["family"]),
-            beta_hat=np.array(doc["beta_hat"], dtype=float),
-            covariate_names=tuple(doc["covariate_names"]),
-            intercept_included=doc["intercept_included"],
-            iterations=doc["iterations"],
-            final_score_norm=doc["final_score_norm"],
-        )
+        try:
+            return cls(
+                family=ModelFamily(doc["family"]),
+                beta_hat=np.array(doc["beta_hat"], dtype=float),
+                covariate_names=tuple(doc["covariate_names"]),
+                intercept_included=doc["intercept_included"],
+                iterations=doc["iterations"],
+                final_score_norm=doc["final_score_norm"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed model document: {exc!r}") from None
 
 
 def _solve_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -153,29 +155,30 @@ def _solve_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
-def damped_newton(score, jacobian, x0: np.ndarray, config: SolverConfig):
+def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
     """Newton root-finding with step-halving on the max-norm of ``score``.
 
     ``score(x)`` is the vector to drive to zero and ``jacobian(x)`` its
     derivative matrix; ``jacobian`` is only asked for the point most recently
     passed to ``score``.  Each full Newton step is halved until the score norm
-    decreases, up to ``config.max_halvings`` times; the last candidate is
-    taken either way.  Returns (x, iterations, norm).  Raises
-    :class:`NoConvergence`, carrying the last iterate, when ``x`` leaves the
-    ``config.divergence_bound`` ball or the iteration cap is reached.
+    decreases, up to ``MAX_HALVINGS`` times; the last candidate is taken
+    either way.  Returns (x, iterations, norm) once the norm is at most
+    ``tolerance``.  Raises :class:`NoConvergence`, carrying the last iterate,
+    when ``x`` leaves the ``DIVERGENCE_BOUND`` ball or ``MAX_ITERATIONS`` is
+    reached.
     """
     x = x0
     s = score(x)
     norm = float(np.max(np.abs(s)))
-    for iteration in range(1, config.max_iterations + 1):
-        if norm <= config.tolerance:
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        if norm <= tolerance:
             return x, iteration - 1, norm
         try:
             step = np.linalg.solve(jacobian(x), -s)
         except np.linalg.LinAlgError:
             raise RankDeficient("singular Jacobian in Newton solve") from None
         scale = 1.0
-        for _ in range(config.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             candidate = x + scale * step
             cand_score = score(candidate)
             cand_norm = float(np.max(np.abs(cand_score)))
@@ -183,11 +186,11 @@ def damped_newton(score, jacobian, x0: np.ndarray, config: SolverConfig):
                 break
             scale *= 0.5
         x, s, norm = candidate, cand_score, cand_norm
-        if np.linalg.norm(x) > config.divergence_bound:
+        if np.linalg.norm(x) > DIVERGENCE_BOUND:
             raise NoConvergence(iteration, norm, x)
-    if norm <= config.tolerance:
-        return x, config.max_iterations, norm
-    raise NoConvergence(config.max_iterations, norm, x)
+    if norm <= tolerance:
+        return x, MAX_ITERATIONS, norm
+    raise NoConvergence(MAX_ITERATIONS, norm, x)
 
 
 def _check_separation(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> None:
@@ -201,25 +204,18 @@ def _check_separation(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> N
 
 
 def solve_quasi_score(
-    family: ModelFamily,
-    X: np.ndarray,
-    y: np.ndarray,
-    config: SolverConfig = SolverConfig(),
-    check_rank: bool = True,
+    family: ModelFamily, X: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, int, float]:
     """Root-find the quasi-score on raw arrays; returns (beta, iters, norm).
 
     Split out from :func:`fit_model` so the bootstrap refit loop can skip
-    sample-container overhead.
+    sample-container overhead and the non-linear families' rank check.
     """
     n, p = X.shape
     if family is ModelFamily.LINEAR:
         beta = _solve_linear(X, y)
         norm = float(np.max(np.abs((X.T @ (y - X @ beta)) / n)))
         return beta, 1, norm
-
-    if check_rank and np.linalg.matrix_rank(X) < p:
-        raise RankDeficient()
 
     def score(beta):
         return (X.T @ (y - mean_values(family, X, beta))) / n
@@ -230,7 +226,7 @@ def solve_quasi_score(
         return -(X.T * w) @ X / n
 
     try:
-        beta, iterations, norm = damped_newton(score, jacobian, np.zeros(p), config)
+        beta, iterations, norm = damped_newton(score, jacobian, np.zeros(p), 1e-10)
     except NoConvergence as exc:
         _check_separation(family, X, exc.last)
         raise
@@ -242,7 +238,6 @@ def fit_model(
     family: ModelFamily,
     sample_b: SurveySample,
     design_matrix: DesignMatrix,
-    config: SolverConfig = SolverConfig(),
 ) -> FittedModel:
     y = sample_b.responses
     X = design_matrix.values
@@ -250,7 +245,10 @@ def fit_model(
         raise DimensionMismatch("design rows do not align with responses")
     if X.shape[0] < X.shape[1]:
         raise RankDeficient("need at least as many observations as parameters")
-    beta, iterations, norm = solve_quasi_score(family, X, y, config)
+    # the linear solve checks rank itself
+    if family is not ModelFamily.LINEAR and np.linalg.matrix_rank(X) < X.shape[1]:
+        raise RankDeficient()
+    beta, iterations, norm = solve_quasi_score(family, X, y)
     return FittedModel(
         family=family,
         beta_hat=beta,

@@ -40,7 +40,7 @@ from .estimators import (
 )
 from .mean_model import ModelFamily, fit_model
 from .table import write_table
-from .variance import VarianceStrategyA, linearized_variance
+from .variance import linearized_variance
 
 MODEL_IDS = ("I", "II", "III")
 
@@ -189,14 +189,7 @@ def _run_one_rep(population: Population, config: SimConfig, rep: int) -> dict:
     out["theta_ipw"] = ipw_estimate(propensity, sample_b, design_b, N).theta_hat
 
     lin = linearized_variance(
-        model,
-        sample_a,
-        sample_b,
-        design_a,
-        design_b,
-        design_spec,
-        N,
-        strategy=VarianceStrategyA.EXACT_JOINT,
+        model, sample_a, sample_b, design_a, design_b, design_spec, N
     )
     out["v_lin"] = lin.v_total
 

@@ -148,12 +148,6 @@ def variance_component_a(
     )
 
 
-def default_strategy(design_spec: DesignSpec) -> VarianceStrategyA:
-    if design_spec.design in (DesignKind.SRS_WOR, DesignKind.JOINT_PROBABILITIES):
-        return VarianceStrategyA.EXACT_JOINT
-    return VarianceStrategyA.PPSWR_APPROX
-
-
 def linearized_variance(
     model: FittedModel,
     sample_a: SurveySample,
@@ -162,10 +156,13 @@ def linearized_variance(
     design_b: DesignMatrix,
     design_spec: DesignSpec,
     population_size: float,
-    strategy: VarianceStrategyA | None = None,
 ) -> LinearizationComponents:
-    if strategy is None:
-        strategy = default_strategy(design_spec)
+    """Both components; sample A's is exact wherever the design supplies
+    joint inclusion probabilities and the with-replacement form otherwise."""
+    if design_spec.design in (DesignKind.SRS_WOR, DesignKind.JOINT_PROBABILITIES):
+        strategy = VarianceStrategyA.EXACT_JOINT
+    else:
+        strategy = VarianceStrategyA.PPSWR_APPROX
     c_hat = compute_c_hat(model, sample_a, design_a, design_b)
     v_b = variance_component_b(model, sample_b, design_b, c_hat, population_size)
     v_a = variance_component_a(

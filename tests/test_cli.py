@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from massimpute.bootstrap import manifest_path
 from massimpute.cli import run_cli
 
 from conftest import write_csv
@@ -167,6 +168,28 @@ class TestBootstrapCommand:
         ]) == 0
         assert json.loads(point.read_text())["theta_hat"] == doc["theta_hat"]
 
+    def test_point_estimate_uses_release_population_size(self, pipeline_files):
+        # the weights total 1000, so a point estimate over the weight total
+        # would differ from the bootstrap branch's
+        out = pipeline_files["dir"] / "aug.csv"
+        assert run_cli([
+            "bootstrap", "--train", pipeline_files["train"],
+            "--response", "y", "--covariates", "x",
+            "--sample-a", pipeline_files["sample_a"], "--weight", "w",
+            "--pop-size", "1500", "--L", "10", "--seed", "5", "--out", str(out),
+        ]) == 0
+        docs = []
+        for variance in ("none", "bootstrap"):
+            report = pipeline_files["dir"] / f"{variance}.json"
+            assert run_cli([
+                "estimate", "--imputed", str(out), "--variance", variance,
+                "--report", str(report),
+            ]) == 0
+            docs.append(json.loads(report.read_text()))
+        assert docs[0]["population_size_used"] == 1500.0
+        assert docs[1]["population_size_used"] == 1500.0
+        assert docs[0]["theta_hat"] == docs[1]["theta_hat"]
+
     def test_seed_env_override(self, pipeline_files, monkeypatch):
         first = pipeline_files["dir"] / "aug1.csv"
         second = pipeline_files["dir"] / "aug2.csv"
@@ -249,7 +272,7 @@ def _level_files(tmp_path, rng, levels_b, levels_a, x_name="x"):
     g_b = [levels_b[i % 3] for i in range(60)]
     x_b = rng.normal(2, 1, size=60)
     y_b = 1 + 2 * x_b + np.array([effect[g] for g in g_b]) + rng.normal(size=60)
-    g_a = [levels_a[i % 3] for i in range(30)]
+    g_a = [levels_a[i % len(levels_a)] for i in range(30)]
     x_a = rng.normal(2, 1, size=30)
     train = _levels_file(
         tmp_path / "b.csv", [x_name, "g", "y"],
@@ -272,6 +295,31 @@ def test_bootstrap_rejects_level_missing_from_b(tmp_path, rng, capsys):
     ])
     assert code == 3
     assert "g=b" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_level_missing_from_b_exits_3(tmp_path, rng, capsys):
+    train, sample_a = _level_files(
+        tmp_path, rng, ["r", "a", "b"], ["r", "a", "b", "c"]
+    )
+    fit_args = [
+        "--train", train, "--response", "y",
+        "--covariates", "x,g", "--categorical", "g=r",
+    ]
+    model = str(tmp_path / "model.json")
+    assert run_cli(["fit", *fit_args, "--out", model]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["impute", "--model", model, "--sample-a", sample_a, "--weight", "w",
+         "--out", str(tmp_path / "imputed.csv")],
+        ["bootstrap", *fit_args, "--sample-a", sample_a, "--weight", "w",
+         "--L", "5", "--out", str(tmp_path / "aug.csv")],
+    ):
+        assert run_cli(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "g=c" in err["message"]
+    assert not (tmp_path / "imputed.csv").exists()
+    assert not (tmp_path / "aug.csv").exists()
 
 
 def test_names_that_need_quoting_round_trip(tmp_path, rng):
@@ -323,6 +371,11 @@ def test_names_that_need_quoting_round_trip(tmp_path, rng):
     )["variance"]
 
 
+def _edit_manifest(csv_path, edit):
+    path = pathlib.Path(manifest_path(csv_path))
+    path.write_text(edit(path.read_text()))
+
+
 def _bad_input_case(case, files, monkeypatch):
     """Arguments for one malformed-input case."""
     d = files["dir"]
@@ -331,6 +384,53 @@ def _bad_input_case(case, files, monkeypatch):
         "--covariates", "x", "--sample-a", files["sample_a"], "--weight", "w",
         "--L", "3", "--out", str(d / "aug.csv"),
     ]
+    release, imputed = d / "aug.csv", d / "imputed.csv"
+    estimate = ["estimate", "--imputed", str(release), "--variance", "bootstrap",
+                "--report", str(d / "r.json")]
+    if case in ("truncated manifest", "manifest without L", "non-integer L",
+                "linearized on release file", "non-positive release weight"):
+        assert run_cli(boot) == 0
+    if case == "truncated manifest":
+        _edit_manifest(release, lambda text: text[:20])
+        return estimate
+    if case == "manifest without L":
+        _edit_manifest(release, lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "L"}))
+        return estimate
+    if case == "non-integer L":
+        _edit_manifest(release, lambda text: json.dumps(
+            {**json.loads(text), "L": 2.5}))
+        return estimate
+    if case == "linearized on release file":
+        return ["estimate", "--imputed", str(release), "--variance",
+                "linearized", "--train", files["train"],
+                "--report", str(d / "r.json")]
+    if case == "non-positive release weight":
+        lines = release.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[1] = "-25.0"
+        lines[1] = ",".join(cells)
+        release.write_text("".join(lines))
+        return estimate
+    if case in ("bootstrap on imputed file", "model without beta_hat"):
+        model = str(d / "model.json")
+        assert run_cli(["fit", "--train", files["train"], "--response", "y",
+                        "--covariates", "x", "--out", model]) == 0
+        assert run_cli(["impute", "--model", model, "--sample-a",
+                        files["sample_a"], "--weight", "w",
+                        "--out", str(imputed)]) == 0
+    if case == "bootstrap on imputed file":
+        return ["estimate", "--imputed", str(imputed), "--variance",
+                "bootstrap", "--report", str(d / "r.json")]
+    if case == "model without beta_hat":
+        def drop_beta(text):
+            doc = json.loads(text)
+            del doc["model"]["beta_hat"]
+            return json.dumps(doc)
+        _edit_manifest(imputed, drop_beta)
+        return ["estimate", "--imputed", str(imputed), "--variance",
+                "linearized", "--train", files["train"],
+                "--report", str(d / "r.json")]
     if case == "missing input file":
         return ["fit", "--train", str(d / "absent.csv"), "--response", "y",
                 "--covariates", "x", "--out", str(d / "m.json")]
@@ -371,6 +471,13 @@ def _bad_input_case(case, files, monkeypatch):
     ("non-integer threads", 2, "UsageError"),
     ("malformed config", 2, "UsageError"),
     ("non-numeric pop size", 2, "UsageError"),
+    ("truncated manifest", 3, "ValidationError"),
+    ("manifest without L", 3, "ValidationError"),
+    ("non-integer L", 3, "ValidationError"),
+    ("linearized on release file", 3, "ValidationError"),
+    ("bootstrap on imputed file", 3, "ValidationError"),
+    ("non-positive release weight", 3, "NonPositiveWeight"),
+    ("model without beta_hat", 3, "ValidationError"),
 ])
 def test_bad_input_exits_with_json_error(
     case, code, error, pipeline_files, monkeypatch, capsys
@@ -381,6 +488,8 @@ def test_bad_input_exits_with_json_error(
     assert err["error"] == error
     if case == "ragged row":
         assert "row 61" in err["message"]
+    if case == "non-positive release weight":
+        assert "row 1" in err["message"]
 
 
 _B_ROWS = [["x", "g", "y"]] + [

@@ -17,7 +17,7 @@ from massimpute import (
 )
 from massimpute.errors import DimensionMismatch, NoConvergence, OverflowGuardWarning
 from massimpute.estimators import PropensityModel, propensity_values
-from massimpute.mean_model import SolverConfig
+from massimpute.mean_model import MAX_ITERATIONS
 
 from conftest import make_sample_a, make_sample_b
 
@@ -177,7 +177,7 @@ class TestPropensity:
         design_b = build_design_matrix(sample_b, (), intercept=True)
         with pytest.warns(OverflowGuardWarning), pytest.raises(NoConvergence) as exc:
             fit_propensity(sample_a, sample_b, design_a, design_b)
-        assert exc.value.iterations < SolverConfig().max_iterations
+        assert exc.value.iterations < MAX_ITERATIONS
 
     def test_extreme_design_warns_and_saturates(self):
         sample_a = make_sample_a([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
