@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import DesignKind, DesignMatrix, DesignSpec, SurveySample
 from .errors import (
-    ColumnMismatch,
     IOFailure,
     NonPositiveWeight,
     NumericalError,
@@ -30,8 +28,14 @@ from .errors import (
     ValidationError,
 )
 from .estimators import ht_mean
-from .mean_model import FittedModel, ModelFamily, mean_values, solve_quasi_score
-from .table import read_table, write_table
+from .mean_model import (
+    FittedModel,
+    ModelFamily,
+    mean_values,
+    predict_all,
+    solve_quasi_score,
+)
+from .table import read_columns, read_json, write_table
 
 _REFIT_RETRY_CAP = 10
 
@@ -127,13 +131,11 @@ def build_replicates(
     seed: int,
 ) -> ReplicateSet:
     """Compose the four bootstrap steps into a paired replicate set."""
-    if design_a.column_names != model.covariate_names:
-        raise ColumnMismatch(model.covariate_names, design_a.column_names)
+    base = predict_all(model, design_a)
     rep_w = replicate_weights(sample_a, design_spec, L, seed)
     betas, retries = bootstrap_refit(sample_b, model.family, design_b, L, seed)
     # column k of imputations comes from replicate k's coefficients only
     rep_yhat = mean_values(model.family, design_a.values, betas.T)
-    base = mean_values(model.family, design_a.values, model.beta_hat)
     return ReplicateSet(
         L=L,
         replicate_weights=rep_w,
@@ -242,17 +244,12 @@ class AugmentedDataset:
 def read_augmented_dataset(path) -> AugmentedDataset:
     """Read a release file, or an imputed file as one with L = 0.
 
-    A malformed manifest, a non-finite cell or a non-positive weight raises
+    A malformed manifest, a missing column, a bad cell (see
+    :func:`~massimpute.table.read_columns`) or a non-positive weight raises
     :class:`ValidationError`.
     """
     mpath = manifest_path(path)
-    if not os.path.exists(mpath):
-        raise IOFailure(f"manifest not found: {mpath}")
-    with open(mpath) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"{mpath}: malformed JSON: {exc}") from None
+    manifest = read_json(mpath)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("weight_name"), str):
         raise ValidationError(f"{mpath}: no 'weight_name' column name")
     L = 0 if manifest.get("format") == IMPUTED_FORMAT else manifest.get("L")
@@ -262,23 +259,12 @@ def read_augmented_dataset(path) -> AugmentedDataset:
     if N is not None and not (type(N) in (int, float) and 0 < N < math.inf):
         raise ValidationError(f"{mpath}: 'population_size' must be positive or null")
 
-    header, rows = read_table(path)
     reps = [f"{kind}_rep_{k + 1}" for kind in ("w", "yhat") for k in range(L)]
     names = [manifest["weight_name"], "yhat", *reps]
-    try:
-        columns = [header.index(name) for name in names]
-    except ValueError:
-        raise IOFailure("augmented file missing required columns") from None
-    try:
-        # take() yields a row-major block, the layout of an in-memory
-        # replicate set, so sums over units add in the same order.
-        data = np.array(rows, dtype=float).take(columns, axis=1)
-    except ValueError as exc:
-        raise IOFailure(f"non-numeric cell in augmented file: {exc}") from None
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ValidationError(f"non-finite value in column {names[col]!r}, row {row + 1}")
+    columns = read_columns(path, names)
+    # a row-major block, the layout of an in-memory replicate set, so sums
+    # over units add in the same order
+    data = np.column_stack([columns[name] for name in names])
     bad = np.flatnonzero(data[:, 0] <= 0)
     if bad.size:
         raise NonPositiveWeight(int(bad[0]) + 1, float(data[bad[0], 0]))

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .bootstrap import (
@@ -38,7 +39,7 @@ from .errors import IOFailure, NumericalError, UsageError, ValidationError
 from .estimators import EstimateReport, EstimatorKind, ht_mean
 from .mean_model import FittedModel, ModelFamily, fit_model, predict_all
 from .simulation import SimConfig, run_monte_carlo, write_per_rep_csv
-from .table import write_table
+from .table import read_json, write_table
 from .variance import interval_summary, linearized_variance
 
 
@@ -68,14 +69,6 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _read_json(path, error=ValidationError) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise error(f"{path}: malformed JSON: {exc}") from None
-
-
 def _load_config_defaults(argv) -> dict:
     """A --config JSON file supplies defaults; explicit flags win."""
     pre = argparse.ArgumentParser(add_help=False)
@@ -83,7 +76,7 @@ def _load_config_defaults(argv) -> dict:
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return {}
-    doc = _read_json(known.config, UsageError)
+    doc = read_json(known.config, UsageError)
     if not isinstance(doc, dict):
         raise UsageError(f"--config {known.config}: expected a JSON object")
     return doc
@@ -181,8 +174,25 @@ def _raw_names(model: FittedModel) -> tuple[str, ...]:
     return tuple(n for n in model.covariate_names if n != "(intercept)")
 
 
+def _model_schema(model_doc: dict) -> ColumnSchema:
+    """Sample B's schema from the ``schema`` of a model document."""
+    doc = model_doc.get("schema", {})
+    if isinstance(doc, dict):
+        covariates = doc.get("covariates", [])
+        response = doc.get("response")
+        categoricals = doc.get("categoricals", {})
+        if (isinstance(covariates, list) and isinstance(categoricals, dict)
+                and all(isinstance(s, str) for s in [*covariates, *categoricals.values()])
+                and (response is None or isinstance(response, str))):
+            return ColumnSchema(tuple(covariates), response, categoricals=categoricals)
+    raise ValidationError(
+        "model 'schema' must be an object with a 'covariates' list of names, "
+        "a 'response' name and 'categoricals' mapping names to reference levels"
+    )
+
+
 def _fit_from_args(args):
-    """Load sample B and fit; returns (model, sample_b, design_b, schema_doc)."""
+    """Load sample B and fit; returns (model, sample_b, design_b, schema)."""
     schema = ColumnSchema(
         covariates=tuple(args.covariates.split(",")),
         response=args.response,
@@ -193,34 +203,32 @@ def _fit_from_args(args):
         sample_b, sample_b.covariate_names, intercept=not args.no_intercept
     )
     model = fit_model(ModelFamily(args.family), sample_b, design_b)
-    schema_doc = {
+    return model, sample_b, design_b, schema
+
+
+def cmd_fit(args) -> int:
+    model, _, _, schema = _fit_from_args(args)
+    doc = json.loads(model.to_json())
+    doc["schema"] = {
         "response": schema.response,
         "covariates": list(schema.covariates),
         "categoricals": schema.categoricals,
     }
-    return model, sample_b, design_b, schema_doc
-
-
-def cmd_fit(args) -> int:
-    model, _, _, schema_doc = _fit_from_args(args)
-    doc = json.loads(model.to_json())
-    doc["schema"] = schema_doc
     doc["version"] = __version__
     doc["input_digests"] = {args.train: _sha256(args.train)}
     _write_json(args.out, doc)
     return 0
 
 
-def _load_sample_a(path, weight, model, covariates, categoricals):
-    """Sample A, with its design built from the model's column names.
+def _load_sample_a(args, model, schema):
+    """Sample A under sample B's ``schema``, with its design built from the
+    model's column names.
 
     A column of A that the model lacks, such as a categorical level that
     sample B never saw, has no coefficient and is rejected.
     """
-    schema = ColumnSchema(
-        covariates=tuple(covariates), weight=weight, categoricals=categoricals
-    )
-    sample_a = load_sample(path, schema, SampleKind.PROBABILITY_A)
+    schema = replace(schema, response=None, weight=args.weight)
+    sample_a = load_sample(args.sample_a, schema, SampleKind.PROBABILITY_A)
     design_a = build_design_matrix(
         sample_a, _raw_names(model), intercept=model.intercept_included
     )
@@ -232,18 +240,12 @@ def _load_sample_a(path, weight, model, covariates, categoricals):
 
 
 def cmd_impute(args) -> int:
-    model_doc = _read_json(args.model)
+    model_doc = read_json(args.model)
     model = FittedModel.from_json(json.dumps(model_doc))
-    schema_doc = model_doc.get("schema", {})
+    schema = _model_schema(model_doc)
+    categoricals = {**schema.categoricals, **_parse_categoricals(args.categorical)}
     sample_a, design_a = _load_sample_a(
-        args.sample_a,
-        args.weight,
-        model,
-        schema_doc.get("covariates", []),
-        {
-            **schema_doc.get("categoricals", {}),
-            **_parse_categoricals(args.categorical),
-        },
+        args, model, replace(schema, categoricals=categoricals)
     )
     yhat = predict_all(model, design_a)
 
@@ -293,13 +295,9 @@ def cmd_estimate(args) -> int:
             ColumnSchema(covariates=raw_names, weight=dataset.manifest["weight_name"]),
             SampleKind.PROBABILITY_A,
         )
-        schema_doc = model_doc.get("schema", {})
-        schema_b = ColumnSchema(
-            covariates=tuple(schema_doc.get("covariates", [])),
-            response=schema_doc.get("response"),
-            categoricals=schema_doc.get("categoricals", {}),
+        sample_b = load_sample(
+            args.train, _model_schema(model_doc), SampleKind.NON_PROBABILITY_B
         )
-        sample_b = load_sample(args.train, schema_b, SampleKind.NON_PROBABILITY_B)
         design_a, design_b = (
             build_design_matrix(s, raw_names, intercept=model.intercept_included)
             for s in (sample_a, sample_b)
@@ -332,14 +330,8 @@ def cmd_estimate(args) -> int:
 def cmd_bootstrap(args) -> int:
     seed = args.seed if args.seed is not None else _env_int("MASSIMPUTE_SEED", 0)
     pop_size = _pop_size(args)
-    model, sample_b, design_b, schema_doc = _fit_from_args(args)
-    sample_a, design_a = _load_sample_a(
-        args.sample_a,
-        args.weight,
-        model,
-        schema_doc["covariates"],
-        schema_doc["categoricals"],
-    )
+    model, sample_b, design_b, schema = _fit_from_args(args)
+    sample_a, design_a = _load_sample_a(args, model, schema)
     replicate_set = build_replicates(
         model, sample_a, sample_b, design_a, design_b, ppswr_design(pop_size),
         args.L, seed,

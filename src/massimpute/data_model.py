@@ -16,14 +16,12 @@ from .errors import (
     DimensionMismatch,
     MissingColumn,
     MissingJointProbabilities,
-    MissingValue,
-    NonNumericValue,
     NonPositiveWeight,
     SampleTooLarge,
     UnknownCovariate,
     ValidationError,
 )
-from .table import read_table, write_table
+from .table import read_columns, write_table
 
 
 class SampleKind(enum.Enum):
@@ -176,71 +174,36 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def _parse_numeric(raw: str, column: str, row: int) -> float:
-    text = raw.strip()
-    if text == "":
-        raise MissingValue(column, row)
-    try:
-        return float(text)
-    except ValueError:
-        raise NonNumericValue(column, row, raw) from None
-
-
 def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
     """Read a CSV file into a validated :class:`SurveySample`.
 
     Categorical covariates are expanded to indicator columns named
-    ``{col}={level}`` with the declared reference level dropped.  Row numbers
-    in error messages are 1-based over data rows.
+    ``{col}={level}`` with the declared reference level dropped.  Cells are
+    parsed and checked by :func:`~massimpute.table.read_columns`.
     """
-    if kind is SampleKind.PROBABILITY_A and schema.weight is None:
-        raise MissingColumn("<weight>")
-    if kind is SampleKind.NON_PROBABILITY_B and schema.response is None:
-        raise MissingColumn("<response>")
-
-    header, rows = read_table(path)
-
-    declared = list(schema.covariates)
-    if schema.response is not None:
-        declared.append(schema.response)
-    if schema.weight is not None:
-        declared.append(schema.weight)
-    for name in declared:
-        if name not in header:
-            raise MissingColumn(name)
-
-    index = {name: header.index(name) for name in declared}
-
-    # Raw string columns, then numeric parse / indicator expansion per column.
-    raw = {name: [row[index[name]] for row in rows] for name in declared}
-
-    def numeric(name: str) -> np.ndarray:
-        return np.array(
-            [_parse_numeric(v, name, i + 1) for i, v in enumerate(raw[name])]
-        )
+    text = {name for name in schema.covariates if name in schema.categoricals}
+    clash = text & {schema.response, schema.weight}
+    if clash:
+        raise ValidationError(f"column {clash.pop()!r} cannot be both a "
+                              "categorical covariate and the response or weight")
+    declared = [*schema.covariates, schema.response, schema.weight]
+    raw = read_columns(path, [name for name in declared if name is not None], text)
 
     columns: dict[str, np.ndarray] = {}
     covariate_names: list[str] = []
     for name in schema.covariates:
         if name in schema.categoricals:
-            reference = schema.categoricals[name]
-            values = [v.strip() for v in raw[name]]
-            for i, v in enumerate(values):
-                if v == "":
-                    raise MissingValue(name, i + 1)
-            levels = sorted(set(values) - {reference})
-            for level in levels:
+            values = raw[name]
+            for level in sorted(set(values) - {schema.categoricals[name]}):
                 col_name = f"{name}={level}"
-                columns[col_name] = np.array(
-                    [1.0 if v == level else 0.0 for v in values]
-                )
+                columns[col_name] = (values == level).astype(float)
                 covariate_names.append(col_name)
         else:
-            columns[name] = numeric(name)
+            columns[name] = raw[name]
             covariate_names.append(name)
     for name in (schema.response, schema.weight):
         if name is not None:
-            columns[name] = numeric(name)
+            columns[name] = raw[name]
 
     return SurveySample(
         columns=columns,
@@ -253,11 +216,7 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
 
 def write_sample(sample: SurveySample, path) -> None:
     """Write a sample back to CSV with full-precision (round-trip) floats."""
-    names = list(sample.covariate_names)
-    if sample.response_name:
-        names.append(sample.response_name)
-    if sample.weight_name:
-        names.append(sample.weight_name)
+    names = sample._declared()
     write_table(path, names, [sample.columns[name] for name in names])
 
 

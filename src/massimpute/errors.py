@@ -30,12 +30,18 @@ class MissingColumn(ValidationError):
 
 
 class NonNumericValue(ValidationError):
+    problem = "non-numeric"
+
     def __init__(self, column: str, row: int, value: str):
         self.column = column
         self.row = row
         super().__init__(
-            f"non-numeric value {value!r} in column {column!r}, row {row}"
+            f"{self.problem} value {value!r} in column {column!r}, row {row}"
         )
+
+
+class NonFiniteValue(NonNumericValue):
+    problem = "non-finite"
 
 
 class NonPositiveWeight(ValidationError):

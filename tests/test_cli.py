@@ -388,7 +388,8 @@ def _bad_input_case(case, files, monkeypatch):
     estimate = ["estimate", "--imputed", str(release), "--variance", "bootstrap",
                 "--report", str(d / "r.json")]
     if case in ("truncated manifest", "manifest without L", "non-integer L",
-                "linearized on release file", "non-positive release weight"):
+                "linearized on release file", "non-positive release weight",
+                "non-numeric replicate cell", "release without w_rep column"):
         assert run_cli(boot) == 0
     if case == "truncated manifest":
         _edit_manifest(release, lambda text: text[:20])
@@ -412,6 +413,31 @@ def _bad_input_case(case, files, monkeypatch):
         lines[1] = ",".join(cells)
         release.write_text("".join(lines))
         return estimate
+    if case == "non-numeric replicate cell":
+        lines = release.read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")
+        cells[lines[0].split(",").index("yhat_rep_2")] = "abc"
+        lines[4] = ",".join(cells)
+        release.write_text("".join(lines))
+        return estimate
+    if case == "release without w_rep column":
+        text = release.read_text()
+        release.write_text(text.replace("w_rep_3", "w_rep_x", 1))
+        return estimate
+    if case.startswith("model schema"):
+        model = d / "model.json"
+        assert run_cli(["fit", "--train", files["train"], "--response", "y",
+                        "--covariates", "x", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        if case == "model schema not an object":
+            doc["schema"] = []
+        elif case == "model schema categoricals a list":
+            doc["schema"]["categoricals"] = ["g"]
+        else:
+            doc["schema"]["covariates"] = "x,g"
+        model.write_text(json.dumps(doc))
+        return ["impute", "--model", str(model), "--sample-a",
+                files["sample_a"], "--weight", "w", "--out", str(imputed)]
     if case in ("bootstrap on imputed file", "model without beta_hat"):
         model = str(d / "model.json")
         assert run_cli(["fit", "--train", files["train"], "--response", "y",
@@ -478,6 +504,11 @@ def _bad_input_case(case, files, monkeypatch):
     ("bootstrap on imputed file", 3, "ValidationError"),
     ("non-positive release weight", 3, "NonPositiveWeight"),
     ("model without beta_hat", 3, "ValidationError"),
+    ("non-numeric replicate cell", 3, "NonNumericValue"),
+    ("release without w_rep column", 3, "MissingColumn"),
+    ("model schema not an object", 3, "ValidationError"),
+    ("model schema categoricals a list", 3, "ValidationError"),
+    ("model schema covariates a string", 3, "ValidationError"),
 ])
 def test_bad_input_exits_with_json_error(
     case, code, error, pipeline_files, monkeypatch, capsys
@@ -490,6 +521,12 @@ def test_bad_input_exits_with_json_error(
         assert "row 61" in err["message"]
     if case == "non-positive release weight":
         assert "row 1" in err["message"]
+    if case == "non-numeric replicate cell":
+        assert "column 'yhat_rep_2', row 4" in err["message"]
+    if case == "release without w_rep column":
+        assert "'w_rep_3'" in err["message"]
+    if case.startswith("model schema"):
+        assert "schema" in err["message"]
 
 
 _B_ROWS = [["x", "g", "y"]] + [

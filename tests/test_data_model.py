@@ -18,6 +18,7 @@ from massimpute import (
 from massimpute.errors import (
     EmptyFile,
     MissingColumn,
+    NonFiniteValue,
     NonNumericValue,
     NonPositiveWeight,
     RankDeficient,
@@ -60,6 +61,12 @@ class TestLoadSample:
         assert exc.value.column == "x"
         assert exc.value.row == 2
 
+    def test_non_finite_value_names_row(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", ["x", "w"], [[1, 2], [2, 2], ["nan", 2]])
+        with pytest.raises(NonFiniteValue) as exc:
+            load_sample(path, A_SCHEMA, SampleKind.PROBABILITY_A)
+        assert (exc.value.column, exc.value.row) == ("x", 3)
+
     def test_empty_file(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["x", "w"], [])
         with pytest.raises(EmptyFile):
@@ -82,6 +89,14 @@ class TestLoadSample:
 
 
 class TestCategoricalExpansion:
+    def test_categorical_response_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "b.csv", ["x", "y"], [[1, 2], [2, 3], [3, 2]])
+        schema = ColumnSchema(
+            covariates=("x", "y"), response="y", categoricals={"y": "2"}
+        )
+        with pytest.raises(ValidationError, match="'y' cannot be both"):
+            load_sample(path, schema, SampleKind.NON_PROBABILITY_B)
+
     def test_reference_level_dropped(self, tmp_path):
         rows = [["a", 1, 2], ["b", 2, 2], ["c", 3, 2], ["a", 4, 2], ["b", 5, 2]]
         path = write_csv(tmp_path / "a.csv", ["g", "x", "w"], rows)
