@@ -8,7 +8,24 @@ replicate-weight column with its replicate-imputation column so variance can
 be estimated without any access to sample B.
 
 Per-replicate seeds are derived from the master seed by counter, so output is
-identical whether replicates are computed serially or in parallel.
+identical whether replicates are computed serially or in parallel, and the
+first columns do not change when L grows.
+
+Replicate weights are every replicate's resample counts times the rescaled
+base weights, scaled in one array operation.  Linear refits are batched in
+blocks of about 2^20 resample counts (a block x n_B count matrix C): one
+``np.einsum`` forms every replicate's count-weighted normal equations and
+one batched ``np.linalg.solve`` solves them.  ``einsum`` without
+``optimize`` sums each replicate over the units in the same order whatever
+the block's shape, where BLAS ``C @ ...`` rounds by its blocking and would
+move earlier columns when L grows; batched LAPACK calls work one matrix at a
+time.  A Gram matrix whose eigenvalue ratio clears 1e-8 is full rank by a
+wide margin.  The rest are redrawn from their own stream for the exact
+``matrix_rank`` test of the per-replicate fit: the Gram matrix squares the
+condition number, so an eigenvalue rule cannot resolve singular-value ratios
+below about sqrt(eps) and would reject samples the fit accepts, such as a
+covariate far from the origin.  Logistic and log-linear refits run one
+replicate at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +55,12 @@ from .mean_model import (
 from .table import read_columns, read_json, write_table
 
 _REFIT_RETRY_CAP = 10
+# replicates are refitted in blocks of about this many resample counts, so a
+# block's count matrix stays near 8 MiB whatever the size of sample B
+_BLOCK_CELLS = 2**20
+# a Gram matrix whose eigenvalue ratio clears this is full rank by a wide
+# margin; the others get the exact rank test of the per-replicate fit
+_RANK_SCREEN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,12 +77,6 @@ def _stream(seed: int, k: int, tag: int, attempt: int = 0) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence([seed, k, tag, attempt]))
 
 
-def _rao_wu_column(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    n = len(weights)
-    counts = np.bincount(rng.integers(0, n, size=n - 1), minlength=n)
-    return weights * (n / (n - 1)) * counts
-
-
 def replicate_weights(
     sample_a: SurveySample,
     design_spec: DesignSpec,
@@ -74,12 +91,78 @@ def replicate_weights(
             f"no replication-weight method for design {design_spec.design.value}"
         )
     w = sample_a.weights
-    if len(w) < 2:
+    n = len(w)
+    if n < 2:
         raise UnsupportedDesign("rescaling bootstrap needs at least 2 units")
-    out = np.empty((len(w), L))
+    out = np.empty((n, L))
     for k in range(L):
-        out[:, k] = _rao_wu_column(w, _stream(seed, k, 0))
+        draws = _stream(seed, k, 0).integers(0, n, size=n - 1)
+        out[:, k] = np.bincount(draws, minlength=n)
+    # the same two roundings per cell as w * (n / (n - 1)) * count
+    out *= (w * (n / (n - 1)))[:, None]
     return out
+
+
+def _resample(n: int, seed: int, k: int, attempt: int) -> np.ndarray:
+    """Row indices of replicate k's with-replacement resample of sample B."""
+    return _stream(seed, k, 1, attempt).integers(0, n, size=n)
+
+
+def _linear_refits(X: np.ndarray, y: np.ndarray, seed: int):
+    """Batched least-squares refits: ``fit(ks, attempt)`` returns the
+    coefficients of replicates ``ks`` and a mask of those that fitted."""
+    n, p = X.shape
+    rows, cols = np.triu_indices(p)
+    # one row per distinct Gram entry, then one per entry of X'y; count-
+    # weighted sums of these rows are a resample's normal equations
+    terms = np.vstack([X.T[rows] * X.T[cols], X.T * y])
+    entry = np.empty((p, p), dtype=np.intp)
+    entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
+
+    def fit(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.empty((len(ks), n))
+        for j, k in enumerate(ks):
+            counts[j] = np.bincount(_resample(n, seed, k, attempt), minlength=n)
+        sums = np.einsum("kn,qn->kq", counts, terms)
+        gram = sums[:, entry]
+        rhs = sums[:, len(rows):, None]
+        eig = np.linalg.eigvalsh(gram)
+        ok = eig[:, 0] > _RANK_SCREEN * eig[:, -1]
+        for j in np.flatnonzero(~ok):
+            idx = _resample(n, seed, ks[j], attempt)
+            ok[j] = np.linalg.matrix_rank(X[idx]) == p
+        betas = np.zeros((len(ks), p))
+        try:
+            betas[ok] = np.linalg.solve(gram[ok], rhs[ok])[..., 0]
+        except np.linalg.LinAlgError:
+            # an exactly singular Gram matrix fails its own replicate only
+            for j in np.flatnonzero(ok):
+                try:
+                    betas[j] = np.linalg.solve(gram[j], rhs[j])[:, 0]
+                except np.linalg.LinAlgError:
+                    ok[j] = False
+        return betas, ok
+
+    return fit
+
+
+def _quasi_score_refits(family: ModelFamily, X: np.ndarray, y: np.ndarray, seed: int):
+    """Per-replicate Newton refits with the same ``fit(ks, attempt)`` shape
+    as :func:`_linear_refits`."""
+    n, p = X.shape
+
+    def fit(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        betas = np.zeros((len(ks), p))
+        ok = np.ones(len(ks), dtype=bool)
+        for j, k in enumerate(ks):
+            idx = _resample(n, seed, k, attempt)
+            try:
+                betas[j], _, _ = solve_quasi_score(family, X[idx], y[idx])
+            except NumericalError:
+                ok[j] = False
+        return betas, ok
+
+    return fit
 
 
 def bootstrap_refit(
@@ -93,29 +176,33 @@ def bootstrap_refit(
 
     Returns the L x p coefficient matrix and the number of redrawn
     replicates.  A replicate whose fit fails is redrawn with a fresh
-    substream up to a retry cap, then the run aborts.
+    substream up to a retry cap, then the run aborts naming the lowest
+    replicate that failed.
     """
     if L < 1:
         raise ValidationError("number of replicates must be at least 1")
     X = design_b.values
     y = sample_b.responses
     n = len(y)
+    if family is ModelFamily.LINEAR:
+        fit = _linear_refits(X, y, seed)
+    else:
+        fit = _quasi_score_refits(family, X, y, seed)
     betas = np.empty((L, X.shape[1]))
     retries = 0
-    for k in range(L):
+    block = max(1, _BLOCK_CELLS // n)
+    for start in range(0, L, block):
+        pending = np.arange(start, min(start + block, L))
         for attempt in range(_REFIT_RETRY_CAP + 1):
-            rng = _stream(seed, k, 1, attempt)
-            idx = rng.integers(0, n, size=n)
-            try:
-                beta, _, _ = solve_quasi_score(family, X[idx], y[idx])
-            except NumericalError:
-                retries += 1
-                continue
-            betas[k] = beta
-            break
+            fitted, ok = fit(pending, attempt)
+            betas[pending[ok]] = fitted[ok]
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            retries += pending.size
         else:
             raise NumericalError(
-                f"replicate {k} failed to fit after {_REFIT_RETRY_CAP} redraws"
+                f"replicate {pending[0]} failed to fit after {_REFIT_RETRY_CAP} redraws"
             )
     return betas, retries
 

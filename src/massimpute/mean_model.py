@@ -208,8 +208,10 @@ def solve_quasi_score(
 ) -> tuple[np.ndarray, int, float]:
     """Root-find the quasi-score on raw arrays; returns (beta, iters, norm).
 
-    Split out from :func:`fit_model` so the bootstrap refit loop can skip
-    sample-container overhead and the non-linear families' rank check.
+    Split out from :func:`fit_model` so the bootstrap's per-replicate
+    logistic and log-linear refits can skip sample-container overhead and
+    the rank check; linear refits are batched in :mod:`massimpute.bootstrap`
+    and do not call it.
     """
     n, p = X.shape
     if family is ModelFamily.LINEAR:

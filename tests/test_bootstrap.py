@@ -18,8 +18,13 @@ from massimpute import (
     srs_design,
     write_augmented_dataset,
 )
-from massimpute.bootstrap import estimate_from_augmented
-from massimpute.errors import ColumnMismatch, UnsupportedDesign, ValidationError
+from massimpute.bootstrap import _REFIT_RETRY_CAP, _stream, estimate_from_augmented
+from massimpute.errors import (
+    ColumnMismatch,
+    NumericalError,
+    UnsupportedDesign,
+    ValidationError,
+)
 
 from conftest import make_sample_a, make_sample_b
 
@@ -70,6 +75,139 @@ class TestReplicateWeights:
         # growing L leaves earlier columns unchanged (per-replicate streams)
         c = replicate_weights(sample, srs_design(50.0), 12, seed=5)
         assert np.array_equal(c[:, :8], a)
+
+    def test_equals_per_column_formula(self, rng):
+        n, L, seed = 30, 50, 4
+        w = rng.uniform(1.0, 5.0, size=n)
+        cols = replicate_weights(make_sample_a(rng.normal(size=n), w),
+                                 srs_design(500.0), L, seed)
+        for k in range(L):
+            draws = _stream(seed, k, 0).integers(0, n, size=n - 1)
+            expected = w * (n / (n - 1)) * np.bincount(draws, minlength=n)
+            assert np.array_equal(cols[:, k], expected)
+
+
+def _linear_b(x, y):
+    sample = make_sample_b(x, y)
+    return sample, build_design_matrix(sample, ("x",), intercept=True)
+
+
+def _refit_loop(X, y, L, seed):
+    """Reference: one least-squares fit per replicate on the gathered rows,
+    rank-checked with an SVD, redrawn on the next substream when it fails."""
+    n, p = X.shape
+    betas = np.empty((L, p))
+    retries = 0
+    for k in range(L):
+        for attempt in range(_REFIT_RETRY_CAP + 1):
+            idx = _stream(seed, k, 1, attempt).integers(0, n, size=n)
+            Xk = X[idx]
+            if np.linalg.matrix_rank(Xk) == p:
+                try:
+                    betas[k] = np.linalg.solve(Xk.T @ Xk, Xk.T @ y[idx])
+                    break
+                except np.linalg.LinAlgError:
+                    pass
+            retries += 1
+        else:
+            raise NumericalError(f"replicate {k} failed")
+    return betas, retries
+
+
+class TestLinearRefitOracle:
+    """The batched linear refit against the per-replicate loop."""
+
+    def test_continuous_covariate(self, rng):
+        x = rng.normal(2, 1, size=500)
+        sample, dm = _linear_b(x, 1 + 2 * x + rng.normal(size=500))
+        betas, retries = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=300, seed=3)
+        expected, expected_retries = _refit_loop(dm.values, sample.responses, 300, 3)
+        assert retries == expected_retries == 0
+        np.testing.assert_allclose(betas, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, redraws",
+        [([1.0, 0.0, 0.0, 0.0], 141), ([0.0, 0.0, 0.0, 1.0, 1.0], 36)],
+    )
+    def test_two_valued_covariate_redraws(self, x, redraws):
+        # a resample that misses one of the two values is rank deficient
+        x = np.array(x)
+        sample, dm = _linear_b(x, np.arange(len(x)) ** 2.0)
+        betas, retries = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=300, seed=11)
+        expected, expected_retries = _refit_loop(dm.values, sample.responses, 300, 11)
+        assert retries == expected_retries == redraws
+        np.testing.assert_allclose(betas, expected, rtol=1e-12, atol=1e-12)
+
+    def test_covariate_far_from_origin(self, rng):
+        # the Gram eigenvalue ratio is about 1e-14, yet every resample has
+        # full rank: the screen must defer to the exact rank test
+        x = rng.normal(1e6, 1e5, size=200)
+        sample, dm = _linear_b(x, 1 + 2 * x + rng.normal(size=200))
+        betas, retries = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=300, seed=5)
+        expected, expected_retries = _refit_loop(dm.values, sample.responses, 300, 5)
+        assert retries == expected_retries == 0
+        np.testing.assert_allclose(betas[:, 1], expected[:, 1], rtol=1e-9)
+        # the intercept is determined only to about 1e-7 here by any
+        # normal-equation solve; the fitted means it yields agree closely
+        np.testing.assert_allclose(dm.values @ betas.T, dm.values @ expected.T,
+                                   rtol=1e-9)
+
+    # 3.0 gives an exactly singular Gram matrix; with 0.1 it solves, and
+    # only the rank test rejects it
+    @pytest.mark.parametrize("value", [3.0, 0.1])
+    def test_constant_covariate_aborts_at_first_replicate(self, value):
+        sample, dm = _linear_b(np.full(10, value), np.arange(10.0))
+        with pytest.raises(NumericalError, match="replicate 0 "):
+            bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=5, seed=1)
+
+    def test_singular_batch_falls_back_per_replicate(self, rng, monkeypatch):
+        x = rng.normal(2, 1, size=50)
+        sample, dm = _linear_b(x, 1 + 2 * x + rng.normal(size=50))
+        expected = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=20, seed=8)
+        solve = np.linalg.solve
+
+        def batch_fails(a, b):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", batch_fails)
+        betas, retries = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=20, seed=8)
+        assert retries == expected[1]
+        assert np.array_equal(betas, expected[0])
+
+
+class TestPrefixStability:
+    """Earlier replicate columns do not change when L grows."""
+
+    def test_refit_and_replicate_columns(self, rng):
+        x_b = rng.normal(2, 1, size=5000)
+        sample_b, design_b = _linear_b(x_b, 1 + 2 * x_b + rng.normal(size=5000))
+        model = fit_model(ModelFamily.LINEAR, sample_b, design_b)
+        x_a = rng.normal(2, 1, size=2000)
+        sample_a = make_sample_a(x_a, np.full(2000, 25.0))
+        design_a = build_design_matrix(sample_a, ("x",), intercept=True)
+        short, long = (
+            build_replicates(model, sample_a, sample_b, design_a, design_b,
+                             srs_design(50_000.0), L=L, seed=7)
+            for L in (8, 100)
+        )
+        assert np.array_equal(long.replicate_imputations[:, :8],
+                              short.replicate_imputations)
+        assert np.array_equal(long.replicate_weights[:, :8], short.replicate_weights)
+        betas_8, _ = bootstrap_refit(sample_b, ModelFamily.LINEAR, design_b, L=8, seed=7)
+        betas_100, _ = bootstrap_refit(sample_b, ModelFamily.LINEAR, design_b, L=100,
+                                       seed=7)
+        assert np.array_equal(betas_100[:8], betas_8)
+
+    def test_with_redraws(self):
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        sample, dm = _linear_b(x, np.array([3.0, 1.0, 4.0, 1.5]))
+        betas_8, retries_8 = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=8, seed=7)
+        betas_100, retries_100 = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=100,
+                                                 seed=7)
+        assert 0 < retries_8 < retries_100
+        assert np.array_equal(betas_100[:8], betas_8)
 
 
 class TestBootstrapRefit:
