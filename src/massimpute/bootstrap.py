@@ -24,8 +24,15 @@ wide margin.  The rest are redrawn from their own stream for the exact
 ``matrix_rank`` test of the per-replicate fit: the Gram matrix squares the
 condition number, so an eigenvalue rule cannot resolve singular-value ratios
 below about sqrt(eps) and would reject samples the fit accepts, such as a
-covariate far from the origin.  Logistic and log-linear refits run one
-replicate at a time.
+covariate far from the origin.
+
+Logistic and log-linear refits run one replicate at a time, each on the
+distinct rows of its resample (about 63% of n_B, gathered in row order)
+weighted by their draw counts: the same score and Jacobian as the gathered
+fit, summed in another order.  Newton starts at zero as the full-sample fit
+does.  A warm start at the full-sample coefficients saves iterations but
+changes which near-separated resamples fail and must be redrawn, and so the
+replicate set itself.  The release manifest records the number of redraws.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DesignKind, DesignMatrix, DesignSpec, SurveySample
+from .data_model import DesignKind, DesignMatrix, DesignSpec, SampleKind, SurveySample
 from .errors import (
     IOFailure,
     NonPositiveWeight,
@@ -147,17 +154,21 @@ def _linear_refits(X: np.ndarray, y: np.ndarray, seed: int):
 
 
 def _quasi_score_refits(family: ModelFamily, X: np.ndarray, y: np.ndarray, seed: int):
-    """Per-replicate Newton refits with the same ``fit(ks, attempt)`` shape
-    as :func:`_linear_refits`."""
+    """Per-replicate Newton refits on each resample's distinct rows, weighted
+    by their counts, with the same ``fit(ks, attempt)`` shape as
+    :func:`_linear_refits`."""
     n, p = X.shape
 
     def fit(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         betas = np.zeros((len(ks), p))
         ok = np.ones(len(ks), dtype=bool)
         for j, k in enumerate(ks):
-            idx = _resample(n, seed, k, attempt)
+            counts = np.bincount(_resample(n, seed, k, attempt), minlength=n)
+            rows = np.flatnonzero(counts)
             try:
-                betas[j], _, _ = solve_quasi_score(family, X[idx], y[idx])
+                betas[j], _, _ = solve_quasi_score(
+                    family, X[rows], y[rows], counts[rows]
+                )
             except NumericalError:
                 ok[j] = False
         return betas, ok
@@ -296,6 +307,7 @@ def write_augmented_dataset(
             "weight_name": sample_a.weight_name,
             "n_a": sample_a.n,
             "population_size": population_size,
+            "redraws": replicate_set.refit_retries,
         }
         with open(manifest_path(path), "w") as fh:
             json.dump(manifest, fh, indent=2)
@@ -314,6 +326,10 @@ class AugmentedDataset:
     replicate_weights: np.ndarray
     replicate_imputations: np.ndarray
     manifest: dict
+    # an imputed file's model, and sample A under it (its covariate columns
+    # and weights), when read with ``with_sample``
+    model: FittedModel | None = None
+    sample_a: SurveySample | None = None
 
     @property
     def L(self) -> int:
@@ -328,9 +344,12 @@ class AugmentedDataset:
         return float(np.sum(self.weights))
 
 
-def read_augmented_dataset(path) -> AugmentedDataset:
+def read_augmented_dataset(path, with_sample: bool = False) -> AugmentedDataset:
     """Read a release file, or an imputed file as one with L = 0.
 
+    With ``with_sample`` the file must be an imputed file: the model in its
+    manifest is parsed, and the model's covariate columns are read in the
+    same pass as the weights to give sample A, for the linearized variance.
     A malformed manifest, a missing column, a bad cell (see
     :func:`~massimpute.table.read_columns`) or a non-positive weight raises
     :class:`ValidationError`.
@@ -346,21 +365,38 @@ def read_augmented_dataset(path) -> AugmentedDataset:
     if N is not None and not (type(N) in (int, float) and 0 < N < math.inf):
         raise ValidationError(f"{mpath}: 'population_size' must be positive or null")
 
+    model, covariates = None, ()
+    if with_sample:
+        if not isinstance(manifest.get("model"), dict):
+            raise ValidationError(f"{path} has no model: not an imputed file")
+        model = FittedModel.from_json(json.dumps(manifest["model"]))
+        covariates = model.raw_names
+
     reps = [f"{kind}_rep_{k + 1}" for kind in ("w", "yhat") for k in range(L)]
     names = [manifest["weight_name"], "yhat", *reps]
-    columns = read_columns(path, names)
+    columns = read_columns(path, [*names, *covariates])
     # a row-major block, the layout of an in-memory replicate set, so sums
     # over units add in the same order
     data = np.column_stack([columns[name] for name in names])
     bad = np.flatnonzero(data[:, 0] <= 0)
     if bad.size:
         raise NonPositiveWeight(int(bad[0]) + 1, float(data[bad[0], 0]))
+    sample_a = None
+    if with_sample:
+        sample_a = SurveySample(
+            columns={name: columns[name] for name in (*covariates, names[0])},
+            covariate_names=covariates,
+            kind=SampleKind.PROBABILITY_A,
+            weight_name=names[0],
+        )
     return AugmentedDataset(
         weights=data[:, 0],
         yhat=data[:, 1],
         replicate_weights=data[:, 2 : 2 + L],
         replicate_imputations=data[:, 2 + L :],
         manifest=manifest,
+        model=model,
+        sample_a=sample_a,
     )
 
 

@@ -170,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _raw_names(model: FittedModel) -> tuple[str, ...]:
-    return tuple(n for n in model.covariate_names if n != "(intercept)")
-
-
 def _model_schema(model_doc: dict) -> ColumnSchema:
     """Sample B's schema from the ``schema`` of a model document."""
     doc = model_doc.get("schema", {})
@@ -230,7 +226,7 @@ def _load_sample_a(args, model, schema):
     schema = replace(schema, response=None, weight=args.weight)
     sample_a = load_sample(args.sample_a, schema, SampleKind.PROBABILITY_A)
     design_a = build_design_matrix(
-        sample_a, _raw_names(model), intercept=model.intercept_included
+        sample_a, model.raw_names, intercept=model.intercept_included
     )
     unknown = [n for n in sample_a.covariate_names if n not in model.covariate_names]
     if unknown:
@@ -269,7 +265,10 @@ def cmd_impute(args) -> int:
 
 def cmd_estimate(args) -> int:
     pop_size = _pop_size(args)
-    dataset = read_augmented_dataset(args.imputed)
+    linearized = args.variance == "linearized"
+    if linearized and not args.train:
+        raise ValidationError("linearized variance requires --train")
+    dataset = read_augmented_dataset(args.imputed, with_sample=linearized)
     N = dataset.population_size_used(pop_size)
     theta = ht_mean(dataset.yhat, dataset.weights, N)
     digests = {args.imputed: _sha256(args.imputed)}
@@ -282,24 +281,14 @@ def cmd_estimate(args) -> int:
         variance_block = {
             "method": "bootstrap", "L": dataset.L, **interval_summary(v_boot)
         }
-    elif args.variance == "linearized":
-        if not args.train:
-            raise ValidationError("linearized variance requires --train")
-        model_doc = dataset.manifest.get("model")
-        if not isinstance(model_doc, dict):
-            raise ValidationError(f"{args.imputed} has no model: not an imputed file")
-        model = FittedModel.from_json(json.dumps(model_doc))
-        raw_names = _raw_names(model)
-        sample_a = load_sample(
-            args.imputed,
-            ColumnSchema(covariates=raw_names, weight=dataset.manifest["weight_name"]),
-            SampleKind.PROBABILITY_A,
-        )
+    elif linearized:
+        model, sample_a = dataset.model, dataset.sample_a
         sample_b = load_sample(
-            args.train, _model_schema(model_doc), SampleKind.NON_PROBABILITY_B
+            args.train, _model_schema(dataset.manifest["model"]),
+            SampleKind.NON_PROBABILITY_B,
         )
         design_a, design_b = (
-            build_design_matrix(s, raw_names, intercept=model.intercept_included)
+            build_design_matrix(s, model.raw_names, intercept=model.intercept_included)
             for s in (sample_a, sample_b)
         )
         if args.design == "srs" and pop_size is None:

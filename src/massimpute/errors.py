@@ -140,7 +140,7 @@ class Separation(NumericalError):
 
 class ZeroPropensity(NumericalError):
     def __init__(self):
-        super().__init__("fitted propensity of zero encountered")
+        super().__init__("fitted propensity too close to zero: the IPW mean overflows")
 
 
 class OverflowGuardWarning(RuntimeWarning):

@@ -153,11 +153,17 @@ def ipw_estimate(
     design_b: DesignMatrix,
     population_size: float,
 ) -> EstimateReport:
-    """Inverse-propensity-weighted mean of the sample-B responses."""
+    """Inverse-propensity-weighted mean of the sample-B responses.
+
+    The logistic mean is clipped, so a fitted propensity is never zero, but
+    one near 1e-304 still overflows y / pi: a non-finite mean raises
+    :class:`ZeroPropensity`.
+    """
     pi = propensity_values(propensity, design_b)
-    if np.any(pi <= 0.0):
+    with np.errstate(over="ignore"):
+        theta = float(np.sum(sample_b.responses / pi) / population_size)
+    if not np.isfinite(theta):
         raise ZeroPropensity()
-    theta = float(np.sum(sample_b.responses / pi) / population_size)
     return EstimateReport(
         theta_hat=theta,
         estimator_kind=EstimatorKind.IPW,

@@ -124,6 +124,12 @@ class FittedModel:
         }
         return json.dumps(doc, indent=2)
 
+    @property
+    def raw_names(self) -> tuple[str, ...]:
+        """The data columns behind the coefficients: the covariate names
+        without the intercept."""
+        return tuple(n for n in self.covariate_names if n != "(intercept)")
+
     @classmethod
     def from_json(cls, text: str) -> "FittedModel":
         """Parse a model document; keys it does not use, such as the
@@ -193,46 +199,53 @@ def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
     raise NoConvergence(MAX_ITERATIONS, norm, x)
 
 
-def _check_separation(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> None:
+def _check_separation(family: ModelFamily, m: np.ndarray) -> None:
     # Under perfect separation the score converges numerically once the
     # fitted probabilities saturate, so pinned probabilities are the
     # reliable signal; the coefficient norm alone never trips first.
-    if family is ModelFamily.LOGISTIC:
-        m = mean_values(family, X, beta)
-        if np.all(np.minimum(m, 1.0 - m) < 1e-8):
-            raise Separation()
+    if family is ModelFamily.LOGISTIC and np.all(np.minimum(m, 1.0 - m) < 1e-8):
+        raise Separation()
 
 
 def solve_quasi_score(
-    family: ModelFamily, X: np.ndarray, y: np.ndarray
+    family: ModelFamily, X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, float]:
     """Root-find the quasi-score on raw arrays; returns (beta, iters, norm).
 
-    Split out from :func:`fit_model` so the bootstrap's per-replicate
-    logistic and log-linear refits can skip sample-container overhead and
-    the rank check; linear refits are batched in :mod:`massimpute.bootstrap`
-    and do not call it.
+    ``weights`` (logistic and log-linear only) counts each row: the score is
+    ``X' (c * (y - m)) / sum(c)``, so a row of weight c stands for c copies
+    of it.  The bootstrap passes each resample's distinct rows with their
+    draw counts.  The default, one per row, gives the plain fit bit for bit,
+    since multiplying by 1.0 is exact.  Linear refits are batched in
+    :mod:`massimpute.bootstrap`; only :func:`fit_model` calls this for the
+    linear family.
     """
     n, p = X.shape
     if family is ModelFamily.LINEAR:
         beta = _solve_linear(X, y)
         norm = float(np.max(np.abs((X.T @ (y - X @ beta)) / n)))
         return beta, 1, norm
+    c = np.ones(n) if weights is None else weights
+    total = c.sum()
+    m = None
 
     def score(beta):
-        return (X.T @ (y - mean_values(family, X, beta))) / n
+        nonlocal m
+        m = mean_values(family, X, beta)
+        return (X.T @ (c * (y - m))) / total
 
     def jacobian(beta):
-        m = mean_values(family, X, beta)
+        # m was computed at beta by the score call just before this one
         w = m * (1.0 - m) if family is ModelFamily.LOGISTIC else m
-        return -(X.T * w) @ X / n
+        return -(X.T * (c * w)) @ X / total
 
     try:
         beta, iterations, norm = damped_newton(score, jacobian, np.zeros(p), 1e-10)
-    except NoConvergence as exc:
-        _check_separation(family, X, exc.last)
+    except NoConvergence:
+        # damped_newton raises at the point it scored last
+        _check_separation(family, m)
         raise
-    _check_separation(family, X, beta)
+    _check_separation(family, m)
     return beta, iterations, norm
 
 

@@ -25,6 +25,7 @@ from massimpute.errors import (
     UnsupportedDesign,
     ValidationError,
 )
+from massimpute.mean_model import damped_newton, mean_values
 
 from conftest import make_sample_a, make_sample_b
 
@@ -175,6 +176,99 @@ class TestLinearRefitOracle:
         betas, retries = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=20, seed=8)
         assert retries == expected[1]
         assert np.array_equal(betas, expected[0])
+
+
+def _quasi_score_loop(family, X, y, L, seed):
+    """Reference: one Newton fit from zeros per replicate on all n gathered
+    rows, unweighted, with the separation check; a replicate that fails is
+    redrawn on the next substream."""
+    n, p = X.shape
+    betas = np.empty((L, p))
+    retries = 0
+    for k in range(L):
+        for attempt in range(_REFIT_RETRY_CAP + 1):
+            idx = _stream(seed, k, 1, attempt).integers(0, n, size=n)
+            Xk, yk = X[idx], y[idx]
+
+            def score(beta):
+                return Xk.T @ (yk - mean_values(family, Xk, beta)) / n
+
+            def jacobian(beta):
+                m = mean_values(family, Xk, beta)
+                w = m * (1.0 - m) if family is ModelFamily.LOGISTIC else m
+                return -(Xk.T * w) @ Xk / n
+
+            try:
+                beta, _, _ = damped_newton(score, jacobian, np.zeros(p), 1e-10)
+            except NumericalError:
+                retries += 1
+                continue
+            m = mean_values(family, Xk, beta)
+            if family is ModelFamily.LOGISTIC and np.all(np.minimum(m, 1 - m) < 1e-8):
+                retries += 1
+                continue
+            betas[k] = beta
+            break
+        else:
+            raise NumericalError(f"replicate {k} failed")
+    return betas, retries
+
+
+def _near_separated(n):
+    # y = 1{x > 0} with the two middle labels swapped: a resample that
+    # misses either of those two rows is separated
+    x = np.linspace(-1.0, 1.0, n)
+    y = (x > 0).astype(float)
+    y[n // 2 - 1], y[n // 2] = y[n // 2], y[n // 2 - 1]
+    sample = make_sample_b(x, y)
+    return sample, build_design_matrix(sample, ("x",), intercept=True)
+
+
+class TestQuasiScoreRefitOracle:
+    """Count-weighted refits on distinct rows against the gathered loop."""
+
+    @pytest.mark.parametrize("family", [ModelFamily.LOGISTIC, ModelFamily.LOGLINEAR])
+    def test_continuous_covariate(self, family, rng):
+        x = rng.normal(0.5, 1.0, size=300)
+        if family is ModelFamily.LOGISTIC:
+            y = (rng.random(300) < 1 / (1 + np.exp(0.5 - 1.2 * x))).astype(float)
+        else:
+            y = rng.poisson(np.exp(0.3 + 0.6 * x)).astype(float)
+        sample = make_sample_b(x, y)
+        dm = build_design_matrix(sample, ("x",), intercept=True)
+        betas, retries = bootstrap_refit(sample, family, dm, L=100, seed=3)
+        expected, expected_retries = _quasi_score_loop(family, dm.values, y, 100, 3)
+        assert retries == expected_retries == 0
+        np.testing.assert_allclose(betas, expected, rtol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
+    @pytest.mark.parametrize("n, redraws", [(20, 253), (40, 69)])
+    def test_near_separated_redraws(self, n, redraws):
+        sample, dm = _near_separated(n)
+        betas, retries = bootstrap_refit(sample, ModelFamily.LOGISTIC, dm, L=300,
+                                         seed=11)
+        expected, expected_retries = _quasi_score_loop(
+            ModelFamily.LOGISTIC, dm.values, sample.responses, 300, 11)
+        assert retries == expected_retries == redraws
+        np.testing.assert_allclose(betas, expected, rtol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
+    def test_near_separated_aborts(self):
+        sample, dm = _near_separated(12)
+        with pytest.raises(NumericalError, match="replicate 133 "):
+            bootstrap_refit(sample, ModelFamily.LOGISTIC, dm, L=300, seed=11)
+        with pytest.raises(NumericalError, match="replicate 133 "):
+            _quasi_score_loop(ModelFamily.LOGISTIC, dm.values, sample.responses,
+                              300, 11)
+
+    def test_prefix_stability(self, rng):
+        x = rng.normal(size=400)
+        y = (rng.random(400) < 1 / (1 + np.exp(-x))).astype(float)
+        sample = make_sample_b(x, y)
+        dm = build_design_matrix(sample, ("x",), intercept=True)
+        betas_8, _ = bootstrap_refit(sample, ModelFamily.LOGISTIC, dm, L=8, seed=5)
+        betas_40, _ = bootstrap_refit(sample, ModelFamily.LOGISTIC, dm, L=40, seed=5)
+        assert np.array_equal(betas_40[:8], betas_8)
 
 
 class TestPrefixStability:

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from massimpute import ModelFamily, bootstrap_refit, build_design_matrix
 from massimpute.bootstrap import manifest_path
 from massimpute.cli import run_cli
 
-from conftest import write_csv
+from conftest import make_sample_b, write_csv
 
 
 def _write_b(path, x, y):
@@ -124,6 +125,23 @@ class TestPipeline:
         assert doc["variance"]["v_total"] > 0.0
         assert doc["population_size_used"] == 1000.0
 
+    def test_linearized_reads_imputed_file_once(self, pipeline_files, monkeypatch):
+        from massimpute import bootstrap, data_model
+
+        _, imputed = self._fit_impute(pipeline_files)
+        reads = []
+        for module in (bootstrap, data_model):
+            def counted(path, *args, _read=module.read_columns):
+                reads.append(str(path))
+                return _read(path, *args)
+            monkeypatch.setattr(module, "read_columns", counted)
+        assert run_cli([
+            "estimate", "--imputed", str(imputed), "--variance", "linearized",
+            "--train", pipeline_files["train"],
+            "--report", str(pipeline_files["dir"] / "report.json"),
+        ]) == 0
+        assert sorted(reads) == sorted([str(imputed), pipeline_files["train"]])
+
     def test_linearized_without_train_exits_3(self, pipeline_files, capsys):
         _, imputed = self._fit_impute(pipeline_files)
         report = pipeline_files["dir"] / "report.json"
@@ -203,6 +221,29 @@ class TestBootstrapCommand:
         assert run_cli(base_args + ["--out", str(first)]) == 0
         assert run_cli(base_args + ["--seed", "17", "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+    @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
+    def test_manifest_records_redraws(self, pipeline_files):
+        # y = 1{x > 0} with the two middle labels swapped: a resample that
+        # misses either of them is separated and is redrawn
+        x = np.linspace(-1.0, 1.0, 20)
+        y = (x > 0).astype(float)
+        y[9], y[10] = y[10], y[9]
+        train = _write_b(pipeline_files["dir"] / "sep.csv", x, y)
+        out = pipeline_files["dir"] / "aug.csv"
+        assert run_cli([
+            "bootstrap", "--train", str(train), "--response", "y",
+            "--covariates", "x", "--family", "logistic",
+            "--sample-a", pipeline_files["sample_a"], "--weight", "w",
+            "--L", "20", "--seed", "11", "--out", str(out),
+        ]) == 0
+        sample = make_sample_b(x, y)
+        design = build_design_matrix(sample, ("x",), intercept=True)
+        _, redraws = bootstrap_refit(sample, ModelFamily.LOGISTIC, design, 20, 11)
+        assert redraws > 0
+        manifest = json.loads(pathlib.Path(manifest_path(out)).read_text())
+        assert manifest["redraws"] == redraws
 
 
 class TestSimulateCommand:

@@ -15,7 +15,12 @@ from massimpute import (
     mass_imputation_estimate,
     naive_mean,
 )
-from massimpute.errors import DimensionMismatch, NoConvergence, OverflowGuardWarning
+from massimpute.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    OverflowGuardWarning,
+    ZeroPropensity,
+)
 from massimpute.estimators import PropensityModel, propensity_values
 from massimpute.mean_model import MAX_ITERATIONS
 
@@ -186,6 +191,14 @@ class TestPropensity:
         with pytest.warns(OverflowGuardWarning):
             pi = propensity_values(model, design)
         np.testing.assert_array_equal(pi, 1.0 / (1.0 + np.exp(700.0)))
+
+    def test_ipw_overflow_raises_zero_propensity(self):
+        # pi = 1 / (1 + e^700), about 1e-304: y / pi overflows to inf
+        sample_b = make_sample_b(np.zeros(5), np.full(5, 1e5))
+        design_b = build_design_matrix(sample_b, (), intercept=True)
+        model = PropensityModel(np.array([-700.0]), 0.0, 0, ("(intercept)",))
+        with pytest.raises(ZeroPropensity):
+            ipw_estimate(model, sample_b, design_b, 100.0)
 
     def test_ipw_intercept_only_identity(self, rng):
         y_b = rng.normal(size=30)
