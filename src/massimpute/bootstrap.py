@@ -7,9 +7,16 @@ sample A, (2) a with-replacement refit of the mean model on sample B,
 replicate-weight column with its replicate-imputation column so variance can
 be estimated without any access to sample B.
 
-Per-replicate seeds are derived from the master seed by counter, so output is
-identical whether replicates are computed serially or in parallel, and the
-first columns do not change when L grows.
+Replicate k draws from its own stream, the v1 layout
+``default_rng(SeedSequence([seed, k, tag, attempt]))`` with tag 0 for the
+weights, tag 1 for the resample of B and attempt counting redraws, so output
+is identical whether replicates are computed serially or in parallel, and
+the first columns do not change when L grows.  Building a ``SeedSequence``
+and a generator per stream cost more than the draws, so :mod:`.seeding`
+computes every replicate's PCG64 start state in one vectorised pass of the
+same hash and one generator is re-seeded from each.  NumPy's stream-
+compatibility policy fixes that hash and PCG64's seeding, so the streams,
+and every output, are those of the per-stream construction bit for bit.
 
 Replicate weights are every replicate's resample counts times the rescaled
 base weights, scaled in one array operation.  Linear refits are batched in
@@ -59,6 +66,7 @@ from .mean_model import (
     predict_all,
     solve_quasi_score,
 )
+from .seeding import pcg64_states
 from .table import read_columns, read_json, write_table
 
 _REFIT_RETRY_CAP = 10
@@ -80,8 +88,24 @@ class ReplicateSet:
     refit_retries: int = 0
 
 
-def _stream(seed: int, k: int, tag: int, attempt: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, k, tag, attempt]))
+def _streams(seed: int, ks, tag: int, attempt: int = 0):
+    """Yield, for each k in ``ks``, a generator at the start of the stream
+    ``default_rng(SeedSequence([seed, k, tag, attempt]))``.
+
+    It is one generator re-seeded for every k, so take k's draws before
+    asking for the next.  Each call makes its own generator, so concurrent
+    callers share no state.
+    """
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    for state, inc in pcg64_states(seed, ks, tag, attempt):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
 
 
 def replicate_weights(
@@ -102,17 +126,11 @@ def replicate_weights(
     if n < 2:
         raise UnsupportedDesign("rescaling bootstrap needs at least 2 units")
     out = np.empty((n, L))
-    for k in range(L):
-        draws = _stream(seed, k, 0).integers(0, n, size=n - 1)
-        out[:, k] = np.bincount(draws, minlength=n)
+    for k, gen in enumerate(_streams(seed, np.arange(L), 0)):
+        out[:, k] = np.bincount(gen.integers(0, n, size=n - 1), minlength=n)
     # the same two roundings per cell as w * (n / (n - 1)) * count
     out *= (w * (n / (n - 1)))[:, None]
     return out
-
-
-def _resample(n: int, seed: int, k: int, attempt: int) -> np.ndarray:
-    """Row indices of replicate k's with-replacement resample of sample B."""
-    return _stream(seed, k, 1, attempt).integers(0, n, size=n)
 
 
 def _linear_refits(X: np.ndarray, y: np.ndarray, seed: int):
@@ -128,16 +146,16 @@ def _linear_refits(X: np.ndarray, y: np.ndarray, seed: int):
 
     def fit(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         counts = np.empty((len(ks), n))
-        for j, k in enumerate(ks):
-            counts[j] = np.bincount(_resample(n, seed, k, attempt), minlength=n)
+        for j, gen in enumerate(_streams(seed, ks, 1, attempt)):
+            counts[j] = np.bincount(gen.integers(0, n, size=n), minlength=n)
         sums = np.einsum("kn,qn->kq", counts, terms)
         gram = sums[:, entry]
         rhs = sums[:, len(rows):, None]
         eig = np.linalg.eigvalsh(gram)
         ok = eig[:, 0] > _RANK_SCREEN * eig[:, -1]
-        for j in np.flatnonzero(~ok):
-            idx = _resample(n, seed, ks[j], attempt)
-            ok[j] = np.linalg.matrix_rank(X[idx]) == p
+        redraw = np.flatnonzero(~ok)
+        for j, gen in zip(redraw, _streams(seed, ks[redraw], 1, attempt)):
+            ok[j] = np.linalg.matrix_rank(X[gen.integers(0, n, size=n)]) == p
         betas = np.zeros((len(ks), p))
         try:
             betas[ok] = np.linalg.solve(gram[ok], rhs[ok])[..., 0]
@@ -162,8 +180,8 @@ def _quasi_score_refits(family: ModelFamily, X: np.ndarray, y: np.ndarray, seed:
     def fit(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         betas = np.zeros((len(ks), p))
         ok = np.ones(len(ks), dtype=bool)
-        for j, k in enumerate(ks):
-            counts = np.bincount(_resample(n, seed, k, attempt), minlength=n)
+        for j, gen in enumerate(_streams(seed, ks, 1, attempt)):
+            counts = np.bincount(gen.integers(0, n, size=n), minlength=n)
             rows = np.flatnonzero(counts)
             try:
                 betas[j], _, _ = solve_quasi_score(

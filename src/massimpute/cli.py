@@ -90,6 +90,14 @@ def _env_int(name: str, default: int) -> int:
         raise UsageError(f"{name} must be an integer, got {text!r}") from None
 
 
+def _seed(args) -> int:
+    """--seed, else MASSIMPUTE_SEED, else 0; a seed must be non-negative."""
+    seed = args.seed if args.seed is not None else _env_int("MASSIMPUTE_SEED", 0)
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _pop_size(args) -> float | None:
     """--pop-size as a positive number, or None for 'estimate'."""
     if args.pop_size == "estimate":
@@ -317,7 +325,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    seed = args.seed if args.seed is not None else _env_int("MASSIMPUTE_SEED", 0)
+    seed = _seed(args)
     pop_size = _pop_size(args)
     model, sample_b, design_b, schema = _fit_from_args(args)
     sample_a, design_a = _load_sample_a(args, model, schema)
@@ -332,7 +340,9 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _env_int("MASSIMPUTE_SEED", 0)
+    seed = _seed(args)
+    if args.boot_l < 0:
+        raise UsageError(f"--boot-l must be at least 0, got {args.boot_l}")
     threads = (
         args.threads if args.threads is not None else _env_int("MASSIMPUTE_THREADS", 1)
     )

@@ -151,6 +151,10 @@ class SimConfig:
             raise ValidationError(f"unknown population model {self.model_id!r}")
         if self.reps < 1:
             raise ValidationError("reps must be at least 1")
+        if self.bootstrap_L < 0:
+            raise ValidationError("bootstrap_L must be at least 0")
+        if self.master_seed < 0:
+            raise ValidationError("master_seed must be a non-negative integer")
         if self.n_a + self.n_b > self.population_size:
             raise ValidationError("n_a + n_b exceeds the population size")
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massimpute import (
     ModelFamily,
@@ -18,7 +20,7 @@ from massimpute import (
     srs_design,
     write_augmented_dataset,
 )
-from massimpute.bootstrap import _REFIT_RETRY_CAP, _stream, estimate_from_augmented
+from massimpute.bootstrap import _REFIT_RETRY_CAP, _streams, estimate_from_augmented
 from massimpute.errors import (
     ColumnMismatch,
     NumericalError,
@@ -28,6 +30,44 @@ from massimpute.errors import (
 from massimpute.mean_model import damped_newton, mean_values
 
 from conftest import make_sample_a, make_sample_b
+
+
+def _v1_stream(seed, k, tag, attempt=0):
+    """Reference: replicate k's stream, built the way the v1 layout defines it."""
+    return np.random.default_rng(np.random.SeedSequence([seed, int(k), tag, attempt]))
+
+
+class TestStreams:
+    """The re-seeded generators against one generator built per stream."""
+
+    @staticmethod
+    def _assert_v1(seed, ks, tag, attempt):
+        for k, gen in zip(ks, _streams(seed, ks, tag, attempt)):
+            ref = _v1_stream(seed, k, tag, attempt)
+            assert gen.bit_generator.state == ref.bit_generator.state
+            # 32-bit buffered draws, then full 64-bit ones
+            assert np.array_equal(gen.integers(0, 1000, size=7),
+                                  ref.integers(0, 1000, size=7))
+            assert np.array_equal(gen.integers(0, 2**40, size=3),
+                                  ref.integers(0, 2**40, size=3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**70 - 1), tag=st.sampled_from([0, 1]),
+           attempt=st.integers(0, 10), start=st.integers(0, 2**32 - 5))
+    def test_equals_seed_sequence_property(self, seed, tag, attempt, start):
+        self._assert_v1(seed, np.array([0, 1, start, start + 4]), tag, attempt)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_equals_seed_sequence_at_word_boundaries(self, seed):
+        self._assert_v1(seed, np.array([*range(20), 2**32 - 1]), 1, 3)
+
+    def test_index_of_two_words_rejected(self):
+        with pytest.raises(ValidationError, match="2\\^32"):
+            next(_streams(1, np.array([2**32]), 0))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            next(_streams(-1, np.arange(3), 0))
 
 
 class TestReplicateWeights:
@@ -83,7 +123,7 @@ class TestReplicateWeights:
         cols = replicate_weights(make_sample_a(rng.normal(size=n), w),
                                  srs_design(500.0), L, seed)
         for k in range(L):
-            draws = _stream(seed, k, 0).integers(0, n, size=n - 1)
+            draws = _v1_stream(seed, k, 0).integers(0, n, size=n - 1)
             expected = w * (n / (n - 1)) * np.bincount(draws, minlength=n)
             assert np.array_equal(cols[:, k], expected)
 
@@ -101,7 +141,7 @@ def _refit_loop(X, y, L, seed):
     retries = 0
     for k in range(L):
         for attempt in range(_REFIT_RETRY_CAP + 1):
-            idx = _stream(seed, k, 1, attempt).integers(0, n, size=n)
+            idx = _v1_stream(seed, k, 1, attempt).integers(0, n, size=n)
             Xk = X[idx]
             if np.linalg.matrix_rank(Xk) == p:
                 try:
@@ -187,7 +227,7 @@ def _quasi_score_loop(family, X, y, L, seed):
     retries = 0
     for k in range(L):
         for attempt in range(_REFIT_RETRY_CAP + 1):
-            idx = _stream(seed, k, 1, attempt).integers(0, n, size=n)
+            idx = _v1_stream(seed, k, 1, attempt).integers(0, n, size=n)
             Xk, yk = X[idx], y[idx]
 
             def score(beta):
@@ -382,6 +422,14 @@ class TestBuildReplicates:
             build_replicates(
                 model, sample_a, sample_b, design_a, design_b,
                 srs_design(150.0), L=0, seed=1,
+            )
+
+    def test_negative_seed_rejected(self, rng):
+        model, sample_a, sample_b, design_a, design_b = _small_setup(rng)
+        with pytest.raises(ValidationError, match="non-negative"):
+            build_replicates(
+                model, sample_a, sample_b, design_a, design_b,
+                srs_design(150.0), L=2, seed=-1,
             )
 
     def test_design_columns_must_match_model(self, rng):

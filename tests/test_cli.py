@@ -516,10 +516,20 @@ def _bad_input_case(case, files, monkeypatch):
     if case == "non-integer seed":
         monkeypatch.setenv("MASSIMPUTE_SEED", "seven")
         return boot
+    simulate = ["simulate", "--model", "I", "--reps", "1",
+                "--report", str(d / "s.json")]
+    if case == "negative seed":
+        return [*boot, "--seed", "-1"]
+    if case == "negative simulate seed":
+        return [*simulate, "--seed", "-1"]
+    if case == "negative seed in environment":
+        monkeypatch.setenv("MASSIMPUTE_SEED", "-3")
+        return simulate
+    if case == "negative boot-l":
+        return [*simulate, "--boot-l", "-4"]
     if case == "non-integer threads":
         monkeypatch.setenv("MASSIMPUTE_THREADS", "2.5")
-        return ["simulate", "--model", "I", "--reps", "1",
-                "--report", str(d / "s.json")]
+        return simulate
     if case == "malformed config":
         (d / "cfg.json").write_text('{"response": ')
         return ["--config", str(d / "cfg.json"), *boot]
@@ -535,6 +545,10 @@ def _bad_input_case(case, files, monkeypatch):
     ("missing config file", 3, "IOFailure"),
     ("ragged row", 3, "RaggedRow"),
     ("non-integer seed", 2, "UsageError"),
+    ("negative seed", 2, "UsageError"),
+    ("negative simulate seed", 2, "UsageError"),
+    ("negative seed in environment", 2, "UsageError"),
+    ("negative boot-l", 2, "UsageError"),
     ("non-integer threads", 2, "UsageError"),
     ("malformed config", 2, "UsageError"),
     ("non-numeric pop size", 2, "UsageError"),
@@ -568,6 +582,9 @@ def test_bad_input_exits_with_json_error(
         assert "'w_rep_3'" in err["message"]
     if case.startswith("model schema"):
         assert "schema" in err["message"]
+    if case.startswith("negative"):
+        assert ("--boot-l" if case.endswith("boot-l") else "seed") in err["message"]
+        assert not (pipeline_files["dir"] / "s.json").exists()
 
 
 _B_ROWS = [["x", "g", "y"]] + [

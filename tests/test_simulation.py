@@ -143,3 +143,9 @@ class TestRunMonteCarlo:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
             SimConfig(model_id="I", population_size=100, n_a=80, n_b=80)
+
+    @pytest.mark.parametrize("field, value", [("bootstrap_L", -4), ("master_seed", -1)])
+    def test_negative_l_or_seed_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SimConfig(model_id="I", population_size=1000, n_a=80, n_b=80,
+                      **{field: value})
