@@ -15,20 +15,14 @@ from .data_model import (  # noqa: F401
     load_sample,
     ppswr_design,
     srs_design,
-    write_sample,
 )
 from .mean_model import (  # noqa: F401
     FittedModel,
     ModelFamily,
     fit_model,
-    mean_gradient,
-    mean_value,
     predict_all,
-    quasi_score,
 )
 from .estimators import (  # noqa: F401
-    EstimateReport,
-    EstimatorKind,
     PropensityModel,
     fit_propensity,
     ht_mean,

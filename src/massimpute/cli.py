@@ -36,7 +36,7 @@ from .data_model import (
     srs_design,
 )
 from .errors import IOFailure, NumericalError, UsageError, ValidationError
-from .estimators import EstimateReport, EstimatorKind, ht_mean
+from .estimators import ht_mean
 from .mean_model import FittedModel, ModelFamily, fit_model, predict_all
 from .simulation import SimConfig, run_monte_carlo, write_per_rep_csv
 from .table import read_json, write_table
@@ -279,14 +279,20 @@ def cmd_estimate(args) -> int:
     dataset = read_augmented_dataset(args.imputed, with_sample=linearized)
     N = dataset.population_size_used(pop_size)
     theta = ht_mean(dataset.yhat, dataset.weights, N)
-    digests = {args.imputed: _sha256(args.imputed)}
-    variance_block = None
-    n_b = 0
+    doc = {
+        "estimator": "mass_imputation",
+        "theta_hat": theta,
+        "n_a": len(dataset.weights),
+        "n_b": 0,
+        "population_size_used": N,
+        "version": __version__,
+        "input_digests": {args.imputed: _sha256(args.imputed)},
+    }
 
     if args.variance == "bootstrap":
         # an imputed file (L = 0) has no replicates: bootstrap_variance rejects it
         v_boot = bootstrap_variance(theta, replicate_estimates(dataset, N))
-        variance_block = {
+        doc["variance"] = {
             "method": "bootstrap", "L": dataset.L, **interval_summary(v_boot)
         }
     elif linearized:
@@ -305,21 +311,9 @@ def cmd_estimate(args) -> int:
         lin = linearized_variance(
             model, sample_a, sample_b, design_a, design_b, design_spec, N
         )
-        variance_block = {"method": "linearized", **lin.to_dict()}
-        n_b = sample_b.n
-        digests[args.train] = _sha256(args.train)
-
-    report = EstimateReport(
-        theta_hat=theta,
-        estimator_kind=EstimatorKind.MASS_IMPUTATION,
-        n_a=len(dataset.weights),
-        n_b=n_b,
-        population_size_used=N,
-        variance=variance_block,
-    )
-    doc = report.to_dict()
-    doc["version"] = __version__
-    doc["input_digests"] = digests
+        doc["variance"] = {"method": "linearized", **lin.to_dict()}
+        doc["n_b"] = sample_b.n
+        doc["input_digests"][args.train] = _sha256(args.train)
     _write_json(args.report, doc)
     return 0
 
@@ -327,6 +321,8 @@ def cmd_estimate(args) -> int:
 def cmd_bootstrap(args) -> int:
     seed = _seed(args)
     pop_size = _pop_size(args)
+    if args.L < 1:
+        raise UsageError(f"--L must be at least 1, got {args.L}")
     model, sample_b, design_b, schema = _fit_from_args(args)
     sample_a, design_a = _load_sample_a(args, model, schema)
     replicate_set = build_replicates(
@@ -346,6 +342,11 @@ def cmd_simulate(args) -> int:
     threads = (
         args.threads if args.threads is not None else _env_int("MASSIMPUTE_THREADS", 1)
     )
+    if threads < 1:
+        raise UsageError(f"--threads or MASSIMPUTE_THREADS must be at least 1, got {threads}")
+    # the Monte Carlo variance needs two reps
+    if args.reps < 2:
+        raise UsageError(f"--reps must be at least 2, got {args.reps}")
     config = SimConfig(
         model_id=args.model,
         population_size=args.pop_size,

@@ -21,7 +21,7 @@ from .errors import (
     UnknownCovariate,
     ValidationError,
 )
-from .table import read_columns, write_table
+from .table import read_columns
 
 
 class SampleKind(enum.Enum):
@@ -166,10 +166,6 @@ class DesignMatrix:
             raise ValidationError("non-finite entry in design matrix")
 
     @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def p(self) -> int:
         return self.values.shape[1]
 
@@ -212,12 +208,6 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
         response_name=schema.response,
         weight_name=schema.weight,
     )
-
-
-def write_sample(sample: SurveySample, path) -> None:
-    """Write a sample back to CSV with full-precision (round-trip) floats."""
-    names = sample._declared()
-    write_table(path, names, [sample.columns[name] for name in names])
 
 
 def build_design_matrix(

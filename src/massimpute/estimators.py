@@ -7,8 +7,7 @@ counterparts, then inverse-weights the B responses.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,34 +26,6 @@ from .mean_model import (
 )
 
 
-class EstimatorKind(enum.Enum):
-    MASS_IMPUTATION = "mass_imputation"
-    NAIVE_B = "naive_b"
-    IPW = "ipw"
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    theta_hat: float
-    estimator_kind: EstimatorKind
-    n_a: int
-    n_b: int
-    population_size_used: float
-    variance: dict | None = field(default=None)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "estimator": self.estimator_kind.value,
-            "theta_hat": self.theta_hat,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "population_size_used": self.population_size_used,
-        }
-        if self.variance is not None:
-            doc["variance"] = self.variance
-        return doc
-
-
 def ht_mean(values: np.ndarray, weights: np.ndarray, population_size: float) -> float:
     """Design-weighted mean: the weighted total scaled by the population size."""
     values = np.asarray(values, dtype=float)
@@ -70,35 +41,21 @@ def mass_imputation_estimate(
     model: FittedModel,
     sample_a: SurveySample,
     design_matrix_a: DesignMatrix,
-    n_b: int,
     population_size: float | None = None,
-) -> EstimateReport:
-    """Weighted mean of the model predictions over sample A."""
+) -> float:
+    """Weighted mean of the model predictions over sample A; N defaults to
+    the design-weight total."""
     n_used = (
         population_size
         if population_size is not None
         else estimate_population_size(sample_a)
     )
     yhat = predict_all(model, design_matrix_a)
-    theta = ht_mean(yhat, sample_a.weights, n_used)
-    return EstimateReport(
-        theta_hat=theta,
-        estimator_kind=EstimatorKind.MASS_IMPUTATION,
-        n_a=sample_a.n,
-        n_b=n_b,
-        population_size_used=float(n_used),
-    )
+    return ht_mean(yhat, sample_a.weights, n_used)
 
 
-def naive_mean(sample_b: SurveySample) -> EstimateReport:
-    y = sample_b.responses
-    return EstimateReport(
-        theta_hat=float(np.mean(y)),
-        estimator_kind=EstimatorKind.NAIVE_B,
-        n_a=0,
-        n_b=sample_b.n,
-        population_size_used=float(sample_b.n),
-    )
+def naive_mean(sample_b: SurveySample) -> float:
+    return float(np.mean(sample_b.responses))
 
 
 @dataclass(frozen=True)
@@ -152,7 +109,7 @@ def ipw_estimate(
     sample_b: SurveySample,
     design_b: DesignMatrix,
     population_size: float,
-) -> EstimateReport:
+) -> float:
     """Inverse-propensity-weighted mean of the sample-B responses.
 
     The logistic mean is clipped, so a fitted propensity is never zero, but
@@ -164,10 +121,4 @@ def ipw_estimate(
         theta = float(np.sum(sample_b.responses / pi) / population_size)
     if not np.isfinite(theta):
         raise ZeroPropensity()
-    return EstimateReport(
-        theta_hat=theta,
-        estimator_kind=EstimatorKind.IPW,
-        n_a=0,
-        n_b=sample_b.n,
-        population_size_used=float(population_size),
-    )
+    return theta

@@ -68,10 +68,6 @@ def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndar
     return _clipped_exp(eta)
 
 
-def mean_value(family: ModelFamily, x, beta) -> float:
-    return float(mean_values(family, np.atleast_2d(np.asarray(x, float)), beta)[0])
-
-
 def mean_gradients(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Row-wise gradient of m with respect to beta (n x p)."""
     X = np.asarray(X, dtype=float)
@@ -83,25 +79,6 @@ def mean_gradients(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.n
     if family is ModelFamily.LOGISTIC:
         return (m * (1.0 - m))[:, None] * X
     return m[:, None] * X
-
-
-def mean_gradient(family: ModelFamily, x, beta) -> np.ndarray:
-    return mean_gradients(family, np.atleast_2d(np.asarray(x, float)), beta)[0]
-
-
-def quasi_score(
-    family: ModelFamily,
-    sample_b: SurveySample,
-    design_matrix: DesignMatrix,
-    beta: np.ndarray,
-) -> np.ndarray:
-    """Mean estimating function over sample B with instrument h(x) = x."""
-    y = sample_b.responses
-    X = design_matrix.values
-    if len(y) != X.shape[0]:
-        raise DimensionMismatch("design rows do not align with responses")
-    resid = y - mean_values(family, X, beta)
-    return (X.T @ resid) / len(y)
 
 
 @dataclass(frozen=True)
@@ -150,15 +127,10 @@ class FittedModel:
 
 
 def _solve_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    gram = X.T @ X
     try:
-        beta = np.linalg.solve(gram, X.T @ y)
+        return np.linalg.solve(X.T @ X, X.T @ y)
     except np.linalg.LinAlgError:
         raise RankDeficient() from None
-    # solve() does not flag near-singular systems; a rank check does
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise RankDeficient()
-    return beta
 
 
 def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
@@ -260,8 +232,8 @@ def fit_model(
         raise DimensionMismatch("design rows do not align with responses")
     if X.shape[0] < X.shape[1]:
         raise RankDeficient("need at least as many observations as parameters")
-    # the linear solve checks rank itself
-    if family is not ModelFamily.LINEAR and np.linalg.matrix_rank(X) < X.shape[1]:
+    # solve() does not flag near-singular systems; a rank check does
+    if np.linalg.matrix_rank(X) < X.shape[1]:
         raise RankDeficient()
     beta, iterations, norm = solve_quasi_score(family, X, y)
     return FittedModel(

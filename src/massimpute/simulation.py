@@ -149,12 +149,14 @@ class SimConfig:
     def __post_init__(self):
         if self.model_id not in MODEL_IDS:
             raise ValidationError(f"unknown population model {self.model_id!r}")
-        if self.reps < 1:
-            raise ValidationError("reps must be at least 1")
+        if self.reps < 2:
+            raise ValidationError("reps must be at least 2")
         if self.bootstrap_L < 0:
             raise ValidationError("bootstrap_L must be at least 0")
         if self.master_seed < 0:
             raise ValidationError("master_seed must be a non-negative integer")
+        if self.threads < 1:
+            raise ValidationError("threads must be at least 1")
         if self.n_a + self.n_b > self.population_size:
             raise ValidationError("n_a + n_b exceeds the population size")
 
@@ -181,16 +183,16 @@ def _run_one_rep(population: Population, config: SimConfig, rep: int) -> dict:
 
     out: dict = {
         "theta_a": float(np.mean(sample_a.columns["y"])),
-        "theta_b": naive_mean(sample_b).theta_hat,
+        "theta_b": naive_mean(sample_b),
     }
 
     model = fit_model(ModelFamily.LINEAR, sample_b, design_b)
     out["theta_i"] = mass_imputation_estimate(
-        model, sample_a, design_a, sample_b.n, population_size=N
-    ).theta_hat
+        model, sample_a, design_a, population_size=N
+    )
 
     propensity = fit_propensity(sample_a, sample_b, design_a, design_b)
-    out["theta_ipw"] = ipw_estimate(propensity, sample_b, design_b, N).theta_hat
+    out["theta_ipw"] = ipw_estimate(propensity, sample_b, design_b, N)
 
     lin = linearized_variance(
         model, sample_a, sample_b, design_a, design_b, design_spec, N
@@ -272,8 +274,11 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
 
     kept = [r for r in results if r is not None]
     failed = config.reps - len(kept)
-    if not kept:
-        raise NumericalError("every simulation rep failed")
+    # the Monte Carlo variance (ddof = 1) needs two reps
+    if len(kept) < 2:
+        raise NumericalError(
+            f"{len(kept)} of {config.reps} simulation reps succeeded; at least 2 must"
+        )
 
     series = {
         name: np.array([r[name] for r in kept]) for name in _ESTIMATOR_NAMES

@@ -41,7 +41,6 @@ def interval_summary(v_total: float) -> dict:
 
 @dataclass(frozen=True)
 class LinearizationComponents:
-    c_hat: np.ndarray
     v_a: float
     v_b: float
     strategy_a: VarianceStrategyA
@@ -168,6 +167,4 @@ def linearized_variance(
     v_a = variance_component_a(
         model, sample_a, design_a, design_spec, strategy, population_size
     )
-    return LinearizationComponents(
-        c_hat=c_hat, v_a=v_a, v_b=v_b, strategy_a=strategy
-    )
+    return LinearizationComponents(v_a=v_a, v_b=v_b, strategy_a=strategy)

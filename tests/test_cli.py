@@ -412,6 +412,44 @@ def test_names_that_need_quoting_round_trip(tmp_path, rng):
     )["variance"]
 
 
+_REPORT_KEYS = {"estimator", "theta_hat", "n_a", "n_b", "population_size_used",
+                "version", "input_digests"}
+
+
+@pytest.mark.parametrize("variance", ["none", "linearized", "bootstrap"])
+def test_estimate_report_document(variance, pipeline_files):
+    files, d = pipeline_files, pipeline_files["dir"]
+    fit = ["--train", files["train"], "--response", "y", "--covariates", "x"]
+    if variance == "bootstrap":
+        data = d / "release.csv"
+        assert run_cli(["bootstrap", *fit, "--sample-a", files["sample_a"],
+                        "--weight", "w", "--L", "5", "--seed", "1",
+                        "--out", str(data)]) == 0
+    else:
+        model, data = d / "model.json", d / "imputed.csv"
+        assert run_cli(["fit", *fit, "--out", str(model)]) == 0
+        assert run_cli(["impute", "--model", str(model), "--sample-a",
+                        files["sample_a"], "--weight", "w",
+                        "--out", str(data)]) == 0
+    report = d / "report.json"
+    # --train is read only by the linearized variance
+    assert run_cli(["estimate", "--imputed", str(data), "--variance", variance,
+                    "--train", files["train"], "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert set(doc) == _REPORT_KEYS | (set() if variance == "none" else {"variance"})
+    assert doc["estimator"] == "mass_imputation"
+    assert doc["n_a"] == 40
+    assert doc["population_size_used"] == 1000.0
+    if variance == "linearized":
+        assert doc["n_b"] == 60
+        assert set(doc["input_digests"]) == {str(data), files["train"]}
+    else:
+        assert doc["n_b"] == 0
+        assert set(doc["input_digests"]) == {str(data)}
+    if variance != "none":
+        assert doc["variance"]["method"] == variance
+
+
 def _edit_manifest(csv_path, edit):
     path = pathlib.Path(manifest_path(csv_path))
     path.write_text(edit(path.read_text()))
@@ -530,6 +568,17 @@ def _bad_input_case(case, files, monkeypatch):
     if case == "non-integer threads":
         monkeypatch.setenv("MASSIMPUTE_THREADS", "2.5")
         return simulate
+    if case == "threads 0":
+        return [*simulate, "--reps", "2", "--threads", "0"]
+    if case == "threads in environment -3":
+        monkeypatch.setenv("MASSIMPUTE_THREADS", "-3")
+        return [*simulate, "--reps", "2"]
+    if case == "reps 1":
+        return simulate
+    if case == "L 0":
+        # sample B is unreadable: --L must be rejected before any file is read
+        (d / "b.csv").write_text("")
+        return [*boot, "--L", "0"]
     if case == "malformed config":
         (d / "cfg.json").write_text('{"response": ')
         return ["--config", str(d / "cfg.json"), *boot]
@@ -550,6 +599,10 @@ def _bad_input_case(case, files, monkeypatch):
     ("negative seed in environment", 2, "UsageError"),
     ("negative boot-l", 2, "UsageError"),
     ("non-integer threads", 2, "UsageError"),
+    ("threads 0", 2, "UsageError"),
+    ("threads in environment -3", 2, "UsageError"),
+    ("reps 1", 2, "UsageError"),
+    ("L 0", 2, "UsageError"),
     ("malformed config", 2, "UsageError"),
     ("non-numeric pop size", 2, "UsageError"),
     ("truncated manifest", 3, "ValidationError"),
@@ -584,7 +637,9 @@ def test_bad_input_exits_with_json_error(
         assert "schema" in err["message"]
     if case.startswith("negative"):
         assert ("--boot-l" if case.endswith("boot-l") else "seed") in err["message"]
-        assert not (pipeline_files["dir"] / "s.json").exists()
+    if case.startswith(("threads", "reps", "L ")):
+        assert "--" + case.split()[0] in err["message"]
+    assert not (pipeline_files["dir"] / "s.json").exists()
 
 
 _B_ROWS = [["x", "g", "y"]] + [

@@ -13,7 +13,6 @@ from massimpute import (
     estimate_population_size,
     fit_model,
     load_sample,
-    write_sample,
 )
 from massimpute.errors import (
     EmptyFile,
@@ -25,6 +24,7 @@ from massimpute.errors import (
     UnknownCovariate,
     ValidationError,
 )
+from massimpute.table import write_table
 
 from conftest import make_sample_a, write_csv
 
@@ -82,7 +82,7 @@ class TestLoadSample:
         )
         sample = load_sample(path, A_SCHEMA, SampleKind.PROBABILITY_A)
         out = tmp_path / "b.csv"
-        write_sample(sample, out)
+        write_table(out, ["x", "w"], [sample.columns["x"], sample.weights])
         again = load_sample(out, A_SCHEMA, SampleKind.PROBABILITY_A)
         np.testing.assert_array_equal(sample.columns["x"], again.columns["x"])
         np.testing.assert_array_equal(sample.weights, again.weights)

@@ -9,10 +9,7 @@ from massimpute import (
     ModelFamily,
     build_design_matrix,
     fit_model,
-    mean_gradient,
-    mean_value,
     predict_all,
-    quasi_score,
 )
 from massimpute.errors import (
     DimensionMismatch,
@@ -20,7 +17,7 @@ from massimpute.errors import (
     RankDeficient,
     Separation,
 )
-from massimpute.mean_model import FittedModel, mean_values
+from massimpute.mean_model import FittedModel, mean_gradients, mean_values
 
 from conftest import make_sample_b
 
@@ -29,36 +26,37 @@ FAMILIES = list(ModelFamily)
 
 class TestMeanValue:
     def test_logistic_at_zero(self):
-        assert mean_value(ModelFamily.LOGISTIC, [1.0, 2.0], [0.0, 0.0]) == 0.5
+        assert mean_values(ModelFamily.LOGISTIC, [[1.0, 2.0]], [0.0, 0.0])[0] == 0.5
 
     def test_linear_dot_product(self):
-        assert mean_value(ModelFamily.LINEAR, [1.0, 2.0], [1.0, 2.0]) == 5.0
+        assert mean_values(ModelFamily.LINEAR, [[1.0, 2.0]], [1.0, 2.0])[0] == 5.0
 
     def test_loglinear_at_zero(self):
-        assert mean_value(ModelFamily.LOGLINEAR, [3.0], [0.0]) == 1.0
+        assert mean_values(ModelFamily.LOGLINEAR, [[3.0]], [0.0])[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mean_value(ModelFamily.LINEAR, [1.0, 2.0], [1.0])
+            mean_values(ModelFamily.LINEAR, [[1.0, 2.0]], [1.0])
 
     def test_overflow_guard_warns_and_saturates(self):
         with pytest.warns(OverflowGuardWarning):
-            value = mean_value(ModelFamily.LOGLINEAR, [1000.0], [1.0])
+            value = mean_values(ModelFamily.LOGLINEAR, [[1000.0]], [1.0])[0]
         assert np.isfinite(value)
         with pytest.warns(OverflowGuardWarning):
-            value = mean_value(ModelFamily.LOGISTIC, [-1000.0], [1.0])
+            value = mean_values(ModelFamily.LOGISTIC, [[-1000.0]], [1.0])[0]
         assert 0.0 <= value <= 1.0
 
 
 class TestMeanGradient:
     def test_linear_is_identity(self):
         np.testing.assert_array_equal(
-            mean_gradient(ModelFamily.LINEAR, [1.0, 3.0], [0.5, 0.5]), [1.0, 3.0]
+            mean_gradients(ModelFamily.LINEAR, [[1.0, 3.0]], [0.5, 0.5])[0],
+            [1.0, 3.0],
         )
 
     def test_logistic_at_zero(self):
         np.testing.assert_allclose(
-            mean_gradient(ModelFamily.LOGISTIC, [1.0, 0.0], [0.0, 0.0]),
+            mean_gradients(ModelFamily.LOGISTIC, [[1.0, 0.0]], [0.0, 0.0])[0],
             [0.25, 0.0],
         )
 
@@ -68,25 +66,31 @@ class TestMeanGradient:
         eps = 1e-6
         for _ in range(100):
             p = rng.integers(1, 4)
-            x = rng.normal(size=p)
+            x = rng.normal(size=(1, p))
             beta = rng.normal(scale=0.5, size=p)
-            grad = mean_gradient(family, x, beta)
+            grad = mean_gradients(family, x, beta)[0]
             for j in range(p):
                 step = np.zeros(p)
                 step[j] = eps
                 fd = (
-                    mean_value(family, x, beta + step)
-                    - mean_value(family, x, beta - step)
+                    mean_values(family, x, beta + step)[0]
+                    - mean_values(family, x, beta - step)[0]
                 ) / (2 * eps)
                 scale = max(1.0, abs(fd))
                 assert abs(grad[j] - fd) / scale <= 1e-6
+
+
+def _quasi_score(family, sample, dm, beta):
+    """Mean estimating function over sample B, X'(y - m) / n."""
+    y = sample.responses
+    return dm.values.T @ (y - mean_values(family, dm.values, beta)) / len(y)
 
 
 class TestQuasiScore:
     def test_zero_residuals(self):
         sample = make_sample_b([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
         dm = build_design_matrix(sample, ("x",), intercept=True)
-        score = quasi_score(ModelFamily.LINEAR, sample, dm, np.array([1.0, 1.0]))
+        score = _quasi_score(ModelFamily.LINEAR, sample, dm, np.array([1.0, 1.0]))
         np.testing.assert_allclose(score, [0.0, 0.0], atol=1e-14)
 
     def test_hand_computation_single_row(self):
@@ -105,7 +109,7 @@ class TestQuasiScore:
             column_names=("x1", "x2"),
             intercept_included=False,
         )
-        score = quasi_score(ModelFamily.LINEAR, sample, dm, np.zeros(2))
+        score = _quasi_score(ModelFamily.LINEAR, sample, dm, np.zeros(2))
         np.testing.assert_allclose(score, [3.0, 6.0])
 
     def test_score_small_at_solution(self, rng):
@@ -115,7 +119,7 @@ class TestQuasiScore:
         sample = make_sample_b(x, y)
         dm = build_design_matrix(sample, ("x",), intercept=True)
         model = fit_model(ModelFamily.LOGISTIC, sample, dm)
-        score = quasi_score(ModelFamily.LOGISTIC, sample, dm, model.beta_hat)
+        score = _quasi_score(ModelFamily.LOGISTIC, sample, dm, model.beta_hat)
         assert np.max(np.abs(score)) <= 1e-10
 
 

@@ -12,7 +12,12 @@ from massimpute import (
     generate_population,
     run_monte_carlo,
 )
-from massimpute.errors import SampleTooLarge, StratumExhausted, ValidationError
+from massimpute.errors import (
+    NumericalError,
+    SampleTooLarge,
+    StratumExhausted,
+    ValidationError,
+)
 
 
 class TestGeneratePopulation:
@@ -144,8 +149,25 @@ class TestRunMonteCarlo:
         with pytest.raises(ValidationError):
             SimConfig(model_id="I", population_size=100, n_a=80, n_b=80)
 
-    @pytest.mark.parametrize("field, value", [("bootstrap_L", -4), ("master_seed", -1)])
+    @pytest.mark.parametrize("field, value", [
+        ("bootstrap_L", -4), ("master_seed", -1), ("reps", 1), ("threads", 0),
+    ])
     def test_negative_l_or_seed_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             SimConfig(model_id="I", population_size=1000, n_a=80, n_b=80,
                       **{field: value})
+
+    def test_one_surviving_rep_raises(self, monkeypatch):
+        # one rep gives no Monte Carlo variance, so no report is made
+        from massimpute import simulation
+
+        run_one_rep = simulation._run_one_rep
+
+        def first_rep_only(population, config, rep):
+            if rep > 0:
+                raise NumericalError("rep failed")
+            return run_one_rep(population, config, rep)
+
+        monkeypatch.setattr(simulation, "_run_one_rep", first_rep_only)
+        with pytest.raises(NumericalError, match="1 of 8"):
+            run_monte_carlo(self._config())
