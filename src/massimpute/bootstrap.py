@@ -140,7 +140,10 @@ def _linear_refits(X: np.ndarray, y: np.ndarray, seed: int):
     rows, cols = np.triu_indices(p)
     # one row per distinct Gram entry, then one per entry of X'y; count-
     # weighted sums of these rows are a resample's normal equations
-    terms = np.vstack([X.T[rows] * X.T[cols], X.T * y])
+    terms = np.empty((len(rows) + p, n))
+    for term, r, c in zip(terms, rows, cols):
+        np.multiply(X[:, r], X[:, c], out=term)
+    np.multiply(X.T, y, out=terms[len(rows):])
     entry = np.empty((p, p), dtype=np.intp)
     entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
 

@@ -347,6 +347,10 @@ def cmd_simulate(args) -> int:
     # the Monte Carlo variance needs two reps
     if args.reps < 2:
         raise UsageError(f"--reps must be at least 2, got {args.reps}")
+    for flag, value, least in (("--pop-size", args.pop_size, 1),
+                               ("--n-a", args.n_a, 2), ("--n-b", args.n_b, 2)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     config = SimConfig(
         model_id=args.model,
         population_size=args.pop_size,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -69,6 +70,12 @@ class Population:
     def mean(self) -> float:
         return float(np.mean(self.y))
 
+    @cached_property
+    def strata(self) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of the units with x <= 2 and of those with x > 2, the
+        hidden strata of sample B; split once, not once per draw."""
+        return np.flatnonzero(self.x <= 2.0), np.flatnonzero(self.x > 2.0)
+
 
 def generate_population(spec: PopulationSpec) -> Population:
     """x ~ N(2,1) and noise ~ N(0,1); y follows the chosen model."""
@@ -123,8 +130,7 @@ def draw_stratified_b(population: Population, n_b: int, seed) -> SurveySample:
     rng = np.random.default_rng(seed)
     n1 = round(0.7 * n_b)
     n2 = n_b - n1
-    low = np.flatnonzero(population.x <= 2.0)
-    high = np.flatnonzero(population.x > 2.0)
+    low, high = population.strata
     if len(low) < n1:
         raise StratumExhausted("x <= 2", n1, len(low))
     if len(high) < n2:
@@ -157,6 +163,12 @@ class SimConfig:
             raise ValidationError("master_seed must be a non-negative integer")
         if self.threads < 1:
             raise ValidationError("threads must be at least 1")
+        if self.population_size < 1:
+            raise ValidationError("population_size must be at least 1")
+        if self.n_a < 2:
+            raise ValidationError("n_a must be at least 2")
+        if self.n_b < 2:
+            raise ValidationError("n_b must be at least 2")
         if self.n_a + self.n_b > self.population_size:
             raise ValidationError("n_a + n_b exceeds the population size")
 

@@ -575,6 +575,10 @@ def _bad_input_case(case, files, monkeypatch):
         return [*simulate, "--reps", "2"]
     if case == "reps 1":
         return simulate
+    if case.startswith(("n-a", "n-b", "pop-size")):
+        # rejected before the population is generated
+        flag, value = case.split()
+        return [*simulate, "--reps", "2", "--boot-l", "0", f"--{flag}", value]
     if case == "L 0":
         # sample B is unreadable: --L must be rejected before any file is read
         (d / "b.csv").write_text("")
@@ -602,6 +606,10 @@ def _bad_input_case(case, files, monkeypatch):
     ("threads 0", 2, "UsageError"),
     ("threads in environment -3", 2, "UsageError"),
     ("reps 1", 2, "UsageError"),
+    ("n-a 0", 2, "UsageError"),
+    ("n-a -5", 2, "UsageError"),
+    ("n-b 0", 2, "UsageError"),
+    ("pop-size 0", 2, "UsageError"),
     ("L 0", 2, "UsageError"),
     ("malformed config", 2, "UsageError"),
     ("non-numeric pop size", 2, "UsageError"),
@@ -637,7 +645,7 @@ def test_bad_input_exits_with_json_error(
         assert "schema" in err["message"]
     if case.startswith("negative"):
         assert ("--boot-l" if case.endswith("boot-l") else "seed") in err["message"]
-    if case.startswith(("threads", "reps", "L ")):
+    if case.startswith(("threads", "reps", "L ", "n-a", "n-b", "pop-size")):
         assert "--" + case.split()[0] in err["message"]
     assert not (pipeline_files["dir"] / "s.json").exists()
 

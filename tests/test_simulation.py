@@ -151,11 +151,12 @@ class TestRunMonteCarlo:
 
     @pytest.mark.parametrize("field, value", [
         ("bootstrap_L", -4), ("master_seed", -1), ("reps", 1), ("threads", 0),
+        ("population_size", 0), ("n_a", 1), ("n_a", -5), ("n_b", 0),
     ])
     def test_negative_l_or_seed_rejected(self, field, value):
+        sizes = {"population_size": 1000, "n_a": 80, "n_b": 80}
         with pytest.raises(ValidationError, match=field):
-            SimConfig(model_id="I", population_size=1000, n_a=80, n_b=80,
-                      **{field: value})
+            SimConfig(model_id="I", **{**sizes, field: value})
 
     def test_one_surviving_rep_raises(self, monkeypatch):
         # one rep gives no Monte Carlo variance, so no report is made
