@@ -576,9 +576,9 @@ def _bad_input_case(case, files, monkeypatch):
     if case == "reps 1":
         return simulate
     if case.startswith(("n-a", "n-b", "pop-size")):
-        # rejected before the population is generated
+        # exit 2, not SimConfig's ValidationError (exit 3)
         flag, value = case.split()
-        return [*simulate, "--reps", "2", "--boot-l", "0", f"--{flag}", value]
+        return [*simulate, "--reps", "2", f"--{flag}", value]
     if case == "L 0":
         # sample B is unreadable: --L must be rejected before any file is read
         (d / "b.csv").write_text("")
