@@ -3,9 +3,10 @@
 All reports are JSON, all data tables CSV.  The model, the imputed-file
 manifest and the estimate report carry the tool version and SHA-256 digests
 of their inputs; the release manifest and the simulate report carry the seed.
-Identical invocations reproduce byte-identical outputs.  Exit codes: 2 usage,
-3 data validation, 4 numerical failure; errors are emitted as a JSON object
-on stderr.
+Identical invocations reproduce byte-identical outputs for a fixed BLAS
+thread count, which can change a coefficient's last digits.  Exit codes: 2
+usage, 3 data validation, 4 numerical failure; errors are emitted as a JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _parse_categoricals(pairs) -> dict[str, str]:
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise ValidationError(
+            raise UsageError(
                 f"--categorical expects col=reference_level, got {pair!r}"
             )
         col, ref = pair.split("=", 1)
@@ -69,17 +70,43 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _load_config_defaults(argv) -> dict:
-    """A --config JSON file supplies defaults; explicit flags win."""
+def _splice_config(argv) -> tuple[list, dict]:
+    """``argv`` with each key of the --config file inserted right after the
+    subcommand as ``--key`` (``_`` read as ``-``), so typed flags win, and the
+    file's document.  ``true`` is a bare flag, ``false`` and ``null`` nothing,
+    a list one flag per item, any other value ``--key=value``."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
     known, _ = pre.parse_known_args(argv)
     if not known.config:
-        return {}
+        return argv, {}
     doc = read_json(known.config, UsageError)
     if not isinstance(doc, dict):
         raise UsageError(f"--config {known.config}: expected a JSON object")
-    return doc
+    flags = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, (dict, list)):
+                raise UsageError(f"--config key {key!r} holds an object or a nested list")
+            if item is True:
+                flags.append(flag)
+            elif item is not False and item is not None:
+                flags.append(f"{flag}={item}")
+    at = len(argv) - len(known.rest) + 1  # rest is argv from the subcommand on
+    return [*argv[:at], *flags, *argv[at:]], doc
+
+
+def _check_config_keys(doc: dict, args) -> None:
+    """Reject a key argparse took as an abbreviation, and a list for a flag
+    that would keep only its last item."""
+    for key, value in doc.items():
+        dest = key.replace("-", "_")
+        if not hasattr(args, dest):
+            raise UsageError(f"--config key {key!r} is not a flag of {args.command}")
+        if isinstance(value, list) and not isinstance(getattr(args, dest), list):
+            raise UsageError(f"--config key {key!r} takes one value, not a list")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -119,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Survey data integration by mass imputation.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="JSON file of default flag values")
+    parser.add_argument("--config", help="JSON file of flag values; typed flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_fit_flags(p):
         # the mean-model fit of `fit` and `bootstrap`
-        p.add_argument("--train")
-        p.add_argument("--response")
-        p.add_argument("--covariates", help="comma-separated names")
+        p.add_argument("--train", required=True)
+        p.add_argument("--response", required=True)
+        p.add_argument("--covariates", required=True, help="comma-separated names")
         p.add_argument("--categorical", action="append", metavar="COL=REF")
         p.add_argument(
             "--family", choices=[f.value for f in ModelFamily], default="linear"
@@ -135,36 +162,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the mean model on the training sample B")
     add_fit_flags(p)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("impute", help="predict responses for sample A")
-    p.add_argument("--model")
-    p.add_argument("--sample-a")
-    p.add_argument("--weight")
+    p.add_argument("--model", required=True)
+    p.add_argument("--sample-a", required=True)
+    p.add_argument("--weight", required=True)
     p.add_argument("--categorical", action="append", metavar="COL=REF")
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate", help="point estimate with optional variance")
-    p.add_argument("--imputed")
+    p.add_argument("--imputed", required=True)
     p.add_argument("--pop-size", default="estimate", help="a number or 'estimate'")
     p.add_argument(
         "--variance", choices=["linearized", "bootstrap", "none"], default="none"
     )
     p.add_argument("--train", help="sample B CSV (required for linearized)")
     p.add_argument("--design", choices=["srs", "ppswr"], default="ppswr")
-    p.add_argument("--report")
+    p.add_argument("--report", required=True)
 
     p = sub.add_parser("bootstrap", help="build the replicate-augmented release file")
     add_fit_flags(p)
-    p.add_argument("--sample-a")
-    p.add_argument("--weight")
+    p.add_argument("--sample-a", required=True)
+    p.add_argument("--weight", required=True)
     p.add_argument("--pop-size", default="estimate")
     p.add_argument("--L", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo study")
-    p.add_argument("--model", choices=["I", "II", "III"])
+    p.add_argument("--model", choices=["I", "II", "III"], required=True)
     p.add_argument("--pop-size", type=int, default=100_000)
     p.add_argument("--n-a", type=int, default=500)
     p.add_argument("--n-b", type=int, default=500)
@@ -172,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boot-l", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--report")
+    p.add_argument("--report", required=True)
     p.add_argument("--per-rep", help="optional CSV of per-rep estimates")
 
     return parser
@@ -244,10 +271,11 @@ def _load_sample_a(args, model, schema):
 
 
 def cmd_impute(args) -> int:
+    typed = _parse_categoricals(args.categorical)
     model_doc = read_json(args.model)
     model = FittedModel.from_json(json.dumps(model_doc))
     schema = _model_schema(model_doc)
-    categoricals = {**schema.categoricals, **_parse_categoricals(args.categorical)}
+    categoricals = {**schema.categoricals, **typed}
     sample_a, design_a = _load_sample_a(
         args, model, replace(schema, categoricals=categoricals)
     )
@@ -275,7 +303,9 @@ def cmd_estimate(args) -> int:
     pop_size = _pop_size(args)
     linearized = args.variance == "linearized"
     if linearized and not args.train:
-        raise ValidationError("linearized variance requires --train")
+        raise UsageError("linearized variance requires --train")
+    if linearized and args.design == "srs" and pop_size is None:
+        raise UsageError("SRS design needs a numeric --pop-size")
     dataset = read_augmented_dataset(args.imputed, with_sample=linearized)
     N = dataset.population_size_used(pop_size)
     theta = ht_mean(dataset.yhat, dataset.weights, N)
@@ -305,8 +335,6 @@ def cmd_estimate(args) -> int:
             build_design_matrix(s, model.raw_names, intercept=model.intercept_included)
             for s in (sample_a, sample_b)
         )
-        if args.design == "srs" and pop_size is None:
-            raise ValidationError("SRS design needs a numeric --pop-size")
         design_spec = srs_design(N) if args.design == "srs" else ppswr_design()
         lin = linearized_variance(
             model, sample_a, sample_b, design_a, design_b, design_spec, N
@@ -383,16 +411,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
 }
 
-# Required flags are validated after config-file defaults are merged, so a
-# value from --config satisfies them; argparse alone cannot express that.
-_REQUIRED = {
-    "fit": ("train", "response", "covariates", "out"),
-    "impute": ("model", "sample_a", "weight", "out"),
-    "estimate": ("imputed", "report"),
-    "bootstrap": ("train", "response", "covariates", "sample_a", "weight", "out"),
-    "simulate": ("model", "report"),
-}
-
 
 def _fail(exc: Exception, code: int) -> int:
     json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
@@ -403,24 +421,10 @@ def _fail(exc: Exception, code: int) -> int:
 def run_cli(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        defaults = _load_config_defaults(argv)
-        if defaults:
-            for action in parser._subparsers._group_actions[0].choices.values():
-                action.set_defaults(
-                    **{k: v for k, v in defaults.items() if k != "command"}
-                )
-        args = parser.parse_args(argv)
-        missing = [
-            name for name in _REQUIRED[args.command]
-            if getattr(args, name, None) is None
-        ]
-        if missing:
-            flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-            parser.error(
-                f"{args.command}: the following arguments are required: {flags}"
-            )
+        argv, config = _splice_config(argv)
+        args = build_parser().parse_args(argv)
+        _check_config_keys(config, args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         return _fail(exc, 2)

@@ -12,7 +12,6 @@ both variance estimators of the mass imputation estimator.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
@@ -150,6 +149,8 @@ class SimConfig:
     reps: int = 1000
     bootstrap_L: int = 500
     master_seed: int = 0
+    # accepted and checked, but reps run in one thread: a thread pool ran
+    # slower than serial, the reps being GIL-bound Python around small kernels
     threads: int = 1
 
     def __post_init__(self):
@@ -269,22 +270,12 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
     )
     theta_n = population.mean
 
-    results: list[dict | None] = [None] * config.reps
-
-    def work(rep: int):
+    kept = []
+    for rep in range(config.reps):
         try:
-            results[rep] = _run_one_rep(population, config, rep)
+            kept.append(_run_one_rep(population, config, rep))
         except NumericalError:
-            results[rep] = None
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(work, range(config.reps)))
-    else:
-        for rep in range(config.reps):
-            work(rep)
-
-    kept = [r for r in results if r is not None]
+            pass
     failed = config.reps - len(kept)
     # the Monte Carlo variance (ddof = 1) needs two reps
     if len(kept) < 2:
@@ -292,40 +283,30 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
             f"{len(kept)} of {config.reps} simulation reps succeeded; at least 2 must"
         )
 
-    series = {
-        name: np.array([r[name] for r in kept]) for name in _ESTIMATOR_NAMES
-    }
+    per_rep = {name: np.array([r[name] for r in kept]) for name in kept[0]}
     mse = {
-        name: float(np.mean((vals - theta_n) ** 2)) for name, vals in series.items()
+        name: float(np.mean((per_rep[name] - theta_n) ** 2))
+        for name in _ESTIMATOR_NAMES
     }
     estimators = {
         name: {
-            "bias": float(np.mean(vals) - theta_n),
-            "mc_variance": float(np.var(vals, ddof=1)),
+            "bias": float(np.mean(per_rep[name]) - theta_n),
+            "mc_variance": float(np.var(per_rep[name], ddof=1)),
             "mse": mse[name],
             "remse": 100.0 * mse[name] / mse["theta_a"],
         }
-        for name, vals in series.items()
+        for name in _ESTIMATOR_NAMES
     }
 
     mc_var_i = estimators["theta_i"]["mc_variance"]
-    variance_methods = {}
-    v_lin = np.array([r["v_lin"] for r in kept])
-    variance_methods["linearization"] = {
-        "mean": float(np.mean(v_lin)),
-        "relative_bias": float(np.mean(v_lin) / mc_var_i - 1.0),
-    }
-    if config.bootstrap_L > 0:
-        v_boot = np.array([r["v_boot"] for r in kept])
-        variance_methods["bootstrap"] = {
-            "mean": float(np.mean(v_boot)),
-            "relative_bias": float(np.mean(v_boot) / mc_var_i - 1.0),
+    variance_methods = {
+        method: {
+            "mean": float(np.mean(per_rep[name])),
+            "relative_bias": float(np.mean(per_rep[name]) / mc_var_i - 1.0),
         }
-
-    per_rep = {name: series[name] for name in _ESTIMATOR_NAMES}
-    per_rep["v_lin"] = v_lin
-    if config.bootstrap_L > 0:
-        per_rep["v_boot"] = v_boot
+        for method, name in (("linearization", "v_lin"), ("bootstrap", "v_boot"))
+        if name in per_rep
+    }
 
     return SimReport(
         config=config,

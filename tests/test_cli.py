@@ -142,16 +142,6 @@ class TestPipeline:
         ]) == 0
         assert sorted(reads) == sorted([str(imputed), pipeline_files["train"]])
 
-    def test_linearized_without_train_exits_3(self, pipeline_files, capsys):
-        _, imputed = self._fit_impute(pipeline_files)
-        report = pipeline_files["dir"] / "report.json"
-        code = run_cli([
-            "estimate", "--imputed", str(imputed), "--variance", "linearized",
-            "--report", str(report),
-        ])
-        assert code == 3
-        assert "train" in json.loads(capsys.readouterr().err)["message"]
-
 
 class TestBootstrapCommand:
     def test_release_file_supports_estimation_without_b(self, pipeline_files):
@@ -299,6 +289,95 @@ def test_config_file_supplies_defaults(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     np.testing.assert_allclose(doc["beta_hat"], [1.0, 2.0], atol=1e-10)
+
+
+def _exit_code(argv):
+    """The exit code of ``run_cli``, returned or raised by argparse."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, config", [
+    ("fit", {"family": "probit"}),
+    ("bootstrap", {"L": 5.5}),
+    ("fit", {"covariates": ["x"]}),
+    ("simulate", {"reps": 3.7}),
+    ("bootstrap", {"sed": 5}),
+    ("estimate", {"variance": "bogus"}),
+    ("estimate", {"variance": "linearized", "design": "cluster"}),
+    ("bootstrap", {"seed": 2.5}),
+    ("fit", {"covariates": ["x", "y"]}),
+    ("fit", {"family": {"name": "linear"}}),
+    ("fit", {"model": "I"}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_bad_config_value_exits_2(command, config, pipeline_files):
+    files, d = pipeline_files, pipeline_files["dir"]
+    fit = ["--train", files["train"], "--response", "y"]
+    if "covariates" not in config:
+        fit += ["--covariates", "x"]
+    model, imputed, out = d / "model.json", d / "imputed.csv", d / "out"
+    if command == "estimate":
+        assert run_cli(["fit", *fit, "--out", str(model)]) == 0
+        assert run_cli(["impute", "--model", str(model), "--sample-a",
+                        files["sample_a"], "--weight", "w",
+                        "--out", str(imputed)]) == 0
+    argv = {
+        "fit": ["fit", *fit, "--out", str(out)],
+        "bootstrap": ["bootstrap", *fit, "--sample-a", files["sample_a"],
+                      "--weight", "w", "--out", str(out)],
+        "estimate": ["estimate", "--imputed", str(imputed), "--train",
+                     files["train"], "--report", str(out)],
+        "simulate": ["simulate", "--model", "I", "--pop-size", "2000",
+                     "--n-a", "50", "--n-b", "50", "--boot-l", "0",
+                     "--report", str(out)],
+    }[command]
+    cfg = d / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    before = sorted(d.iterdir())
+    assert _exit_code(["--config", str(cfg), *argv]) == 2
+    assert sorted(d.iterdir()) == before
+
+
+def _config_case(case, train, sample_a, out):
+    """The config, the argv that goes with it, and the same run typed out."""
+    fit = ["--train", train, "--response", "y", "--covariates", "x"]
+    boot = ["bootstrap", *fit, "--sample-a", sample_a, "--weight", "w",
+            "--L", "5", "--seed", "7"]
+    if case == "required flags":
+        config = {"train": train, "response": "y", "covariates": "x",
+                  "out": str(out)}
+        return config, ["fit"], ["fit", *fit]
+    if case == "no_intercept":
+        return {"no_intercept": True}, ["fit", *fit], ["fit", *fit, "--no-intercept"]
+    if case == "categorical list":
+        fit[-1] = "x,g"
+        return ({"categorical": ["g=r"]}, ["fit", *fit],
+                ["fit", *fit, "--categorical", "g=r"])
+    if case == "typed seed wins":
+        return {"seed": 5}, boot, boot
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "required flags", "no_intercept", "categorical list", "typed seed wins",
+])
+def test_config_keys_parse_as_flags(case, tmp_path, rng):
+    train, sample_a = _level_files(tmp_path, rng, ["r", "a", "b"], ["r", "a", "b"])
+    via_config, typed = tmp_path / "config.out", tmp_path / "typed.out"
+    config, argv, typed_argv = _config_case(case, train, sample_a, via_config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    if "out" not in config:
+        argv = [*argv, "--out", str(via_config)]
+    assert run_cli(["--config", str(cfg), *argv]) == 0
+    assert run_cli([*typed_argv, "--out", str(typed)]) == 0
+    assert via_config.read_bytes() == typed.read_bytes()
+    if case == "typed seed wins":
+        manifests = [pathlib.Path(manifest_path(p)) for p in (via_config, typed)]
+        assert manifests[0].read_bytes() == manifests[1].read_bytes()
+        assert json.loads(manifests[0].read_text())["seed"] == 7
 
 
 def _levels_file(path, header, rows):
@@ -588,6 +667,17 @@ def _bad_input_case(case, files, monkeypatch):
         return ["--config", str(d / "cfg.json"), *boot]
     if case == "non-numeric pop size":
         return [*boot, "--pop-size", "many"]
+    # flag errors found before any file is read: every input file is absent
+    absent = str(d / "absent.csv")
+    if case == "categorical without =":
+        return ["fit", "--train", absent, "--response", "y", "--covariates",
+                "x", "--categorical", "g", "--out", str(d / "m.json")]
+    linearized = ["estimate", "--imputed", absent, "--variance", "linearized",
+                  "--report", str(d / "r.json")]
+    if case == "linearized without train":
+        return linearized
+    if case == "srs without numeric pop size":
+        return [*linearized, "--train", absent, "--design", "srs"]
     raise AssertionError(case)
 
 
@@ -613,6 +703,9 @@ def _bad_input_case(case, files, monkeypatch):
     ("L 0", 2, "UsageError"),
     ("malformed config", 2, "UsageError"),
     ("non-numeric pop size", 2, "UsageError"),
+    ("categorical without =", 2, "UsageError"),
+    ("linearized without train", 2, "UsageError"),
+    ("srs without numeric pop size", 2, "UsageError"),
     ("truncated manifest", 3, "ValidationError"),
     ("manifest without L", 3, "ValidationError"),
     ("non-integer L", 3, "ValidationError"),
@@ -645,8 +738,13 @@ def test_bad_input_exits_with_json_error(
         assert "schema" in err["message"]
     if case.startswith("negative"):
         assert ("--boot-l" if case.endswith("boot-l") else "seed") in err["message"]
-    if case.startswith(("threads", "reps", "L ", "n-a", "n-b", "pop-size")):
+    if case.startswith(("threads", "reps", "L ", "n-a", "n-b", "pop-size",
+                        "categorical")):
         assert "--" + case.split()[0] in err["message"]
+    if case == "linearized without train":
+        assert "--train" in err["message"]
+    if case == "srs without numeric pop size":
+        assert "--pop-size" in err["message"]
     assert not (pipeline_files["dir"] / "s.json").exists()
 
 
