@@ -19,27 +19,19 @@ compatibility policy fixes that hash and PCG64's seeding, so the streams,
 and every output, are those of the per-stream construction bit for bit.
 
 Replicate weights are every replicate's resample counts times the rescaled
-base weights, scaled in one array operation.  Linear refits are batched in
-blocks of about 2^20 resample counts (a block x n_B count matrix C): one
-``np.einsum`` forms every replicate's count-weighted normal equations and
-one batched ``np.linalg.solve`` solves them.  ``einsum`` without
-``optimize`` sums each replicate over the units in the same order whatever
-the block's shape, where BLAS ``C @ ...`` rounds by its blocking and would
-move earlier columns when L grows; batched LAPACK calls work one matrix at a
-time.  A Gram matrix whose eigenvalue ratio clears 1e-8 is full rank by a
-wide margin.  The rest are redrawn from their own stream for the exact
-``matrix_rank`` test of the per-replicate fit: the Gram matrix squares the
-condition number, so an eigenvalue rule cannot resolve singular-value ratios
-below about sqrt(eps) and would reject samples the fit accepts, such as a
-covariate far from the origin.
+base weights, scaled in one array operation.  Linear refits go in blocks of
+about 2^20 resample counts to :func:`~massimpute.mean_model.least_squares`,
+the full-sample fit's normal equations, whose sums do not depend on the
+block's shape, so earlier columns do not move when L grows.
 
 Logistic and log-linear refits run one replicate at a time, each on the
-distinct rows of its resample (about 63% of n_B, gathered in row order)
-weighted by their draw counts: the same score and Jacobian as the gathered
-fit, summed in another order.  Newton starts at zero as the full-sample fit
-does.  A warm start at the full-sample coefficients saves iterations but
-changes which near-separated resamples fail and must be redrawn, and so the
-replicate set itself.  The release manifest records the number of redraws.
+distinct rows of its resample (about 63% of n_B, gathered in row order from
+the design's p x n transpose) weighted by their draw counts: the same score
+and Jacobian as the gathered fit, summed in another order.  Newton starts at
+zero as the full-sample fit does.  A warm start at the full-sample
+coefficients saves iterations but changes which near-separated resamples fail
+and must be redrawn, and so the replicate set itself.  The release manifest
+records the number of redraws.
 """
 
 from __future__ import annotations
@@ -62,6 +54,7 @@ from .estimators import ht_mean
 from .mean_model import (
     FittedModel,
     ModelFamily,
+    least_squares,
     mean_values,
     predict_all,
     solve_quasi_score,
@@ -73,9 +66,6 @@ _REFIT_RETRY_CAP = 10
 # replicates are refitted in blocks of about this many resample counts, so a
 # block's count matrix stays near 8 MiB whatever the size of sample B
 _BLOCK_CELLS = 2**20
-# a Gram matrix whose eigenvalue ratio clears this is full rank by a wide
-# margin; the others get the exact rank test of the per-replicate fit
-_RANK_SCREEN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -133,68 +123,26 @@ def replicate_weights(
     return out
 
 
-def _linear_refits(X: np.ndarray, y: np.ndarray, seed: int):
-    """Batched least-squares refits: ``fit(ks, attempt)`` returns the
-    coefficients of replicates ``ks`` and a mask of those that fitted."""
-    n, p = X.shape
-    rows, cols = np.triu_indices(p)
-    # one row per distinct Gram entry, then one per entry of X'y; count-
-    # weighted sums of these rows are a resample's normal equations
-    terms = np.empty((len(rows) + p, n))
-    for term, r, c in zip(terms, rows, cols):
-        np.multiply(X[:, r], X[:, c], out=term)
-    np.multiply(X.T, y, out=terms[len(rows):])
-    entry = np.empty((p, p), dtype=np.intp)
-    entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
+def _quasi_score_fits(family: ModelFamily, X: np.ndarray, y: np.ndarray):
+    """Newton refits in the ``solve(counts)`` shape of :func:`least_squares`,
+    each row of counts fitted on its distinct units weighted by their counts."""
+    XT = X.T
 
-    def fit(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-        counts = np.empty((len(ks), n))
-        for j, gen in enumerate(_streams(seed, ks, 1, attempt)):
-            counts[j] = np.bincount(gen.integers(0, n, size=n), minlength=n)
-        sums = np.einsum("kn,qn->kq", counts, terms)
-        gram = sums[:, entry]
-        rhs = sums[:, len(rows):, None]
-        eig = np.linalg.eigvalsh(gram)
-        ok = eig[:, 0] > _RANK_SCREEN * eig[:, -1]
-        redraw = np.flatnonzero(~ok)
-        for j, gen in zip(redraw, _streams(seed, ks[redraw], 1, attempt)):
-            ok[j] = np.linalg.matrix_rank(X[gen.integers(0, n, size=n)]) == p
-        betas = np.zeros((len(ks), p))
-        try:
-            betas[ok] = np.linalg.solve(gram[ok], rhs[ok])[..., 0]
-        except np.linalg.LinAlgError:
-            # an exactly singular Gram matrix fails its own replicate only
-            for j in np.flatnonzero(ok):
-                try:
-                    betas[j] = np.linalg.solve(gram[j], rhs[j])[:, 0]
-                except np.linalg.LinAlgError:
-                    ok[j] = False
-        return betas, ok
-
-    return fit
-
-
-def _quasi_score_refits(family: ModelFamily, X: np.ndarray, y: np.ndarray, seed: int):
-    """Per-replicate Newton refits on each resample's distinct rows, weighted
-    by their counts, with the same ``fit(ks, attempt)`` shape as
-    :func:`_linear_refits`."""
-    n, p = X.shape
-
-    def fit(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-        betas = np.zeros((len(ks), p))
-        ok = np.ones(len(ks), dtype=bool)
-        for j, gen in enumerate(_streams(seed, ks, 1, attempt)):
-            counts = np.bincount(gen.integers(0, n, size=n), minlength=n)
-            rows = np.flatnonzero(counts)
+    def solve(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        betas = np.zeros((len(counts), X.shape[1]))
+        ok = np.ones(len(counts), dtype=bool)
+        for j, c in enumerate(counts):
+            rows = np.flatnonzero(c)
             try:
+                # take() gives a contiguous p x rows copy; XT[:, rows] would not
                 betas[j], _, _ = solve_quasi_score(
-                    family, X[rows], y[rows], counts[rows]
+                    family, XT.take(rows, axis=1).T, y[rows], c[rows]
                 )
             except NumericalError:
                 ok[j] = False
         return betas, ok
 
-    return fit
+    return solve
 
 
 def bootstrap_refit(
@@ -215,18 +163,20 @@ def bootstrap_refit(
         raise ValidationError("number of replicates must be at least 1")
     X = design_b.values
     y = sample_b.responses
-    n = len(y)
-    if family is ModelFamily.LINEAR:
-        fit = _linear_refits(X, y, seed)
-    else:
-        fit = _quasi_score_refits(family, X, y, seed)
-    betas = np.empty((L, X.shape[1]))
+    n, p = X.shape
+    solve = (least_squares(design_b, y) if family is ModelFamily.LINEAR
+             else _quasi_score_fits(family, X, y))
+    betas = np.empty((L, p))
     retries = 0
     block = max(1, _BLOCK_CELLS // n)
+    buffer = np.empty((min(block, L), n))  # reused by every block and redraw
     for start in range(0, L, block):
         pending = np.arange(start, min(start + block, L))
         for attempt in range(_REFIT_RETRY_CAP + 1):
-            fitted, ok = fit(pending, attempt)
+            counts = buffer[: len(pending)]
+            for j, gen in enumerate(_streams(seed, pending, 1, attempt)):
+                counts[j] = np.bincount(gen.integers(0, n, size=n), minlength=n)
+            fitted, ok = solve(counts)
             betas[pending[ok]] = fitted[ok]
             pending = pending[~ok]
             if not pending.size:
@@ -390,7 +340,7 @@ def read_augmented_dataset(path, with_sample: bool = False) -> AugmentedDataset:
     if with_sample:
         if not isinstance(manifest.get("model"), dict):
             raise ValidationError(f"{path} has no model: not an imputed file")
-        model = FittedModel.from_json(json.dumps(manifest["model"]))
+        model = FittedModel.from_dict(manifest["model"])
         covariates = model.raw_names
 
     reps = [f"{kind}_rep_{k + 1}" for kind in ("w", "yhat") for k in range(L)]

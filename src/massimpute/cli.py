@@ -3,8 +3,7 @@
 All reports are JSON, all data tables CSV.  The model, the imputed-file
 manifest and the estimate report carry the tool version and SHA-256 digests
 of their inputs; the release manifest and the simulate report carry the seed.
-Identical invocations reproduce byte-identical outputs for a fixed BLAS
-thread count, which can change a coefficient's last digits.  Exit codes: 2
+Identical invocations reproduce byte-identical outputs.  Exit codes: 2
 usage, 3 data validation, 4 numerical failure; errors are emitted as a JSON
 object on stderr.
 """
@@ -223,12 +222,17 @@ def _model_schema(model_doc: dict) -> ColumnSchema:
 
 
 def _fit_from_args(args):
-    """Load sample B and fit; returns (model, sample_b, design_b, schema)."""
-    schema = ColumnSchema(
-        covariates=tuple(args.covariates.split(",")),
-        response=args.response,
-        categoricals=_parse_categoricals(args.categorical),
-    )
+    """Check the flags, load sample B, fit; (model, sample_b, design_b, schema)."""
+    covariates = tuple(args.covariates.split(","))
+    categoricals = _parse_categoricals(args.categorical)
+    names = set(covariates)
+    if "" in names or args.response in names or len(names) < len(covariates):
+        raise UsageError("--covariates must name distinct columns other than the "
+                         f"response, got {args.covariates!r}")
+    stray = set(categoricals) - names
+    if stray:
+        raise UsageError(f"--categorical column {stray.pop()!r} is not in --covariates")
+    schema = ColumnSchema(covariates, args.response, categoricals=categoricals)
     sample_b = load_sample(args.train, schema, SampleKind.NON_PROBABILITY_B)
     design_b = build_design_matrix(
         sample_b, sample_b.covariate_names, intercept=not args.no_intercept
@@ -239,7 +243,7 @@ def _fit_from_args(args):
 
 def cmd_fit(args) -> int:
     model, _, _, schema = _fit_from_args(args)
-    doc = json.loads(model.to_json())
+    doc = model.to_dict()
     doc["schema"] = {
         "response": schema.response,
         "covariates": list(schema.covariates),
@@ -273,7 +277,7 @@ def _load_sample_a(args, model, schema):
 def cmd_impute(args) -> int:
     typed = _parse_categoricals(args.categorical)
     model_doc = read_json(args.model)
-    model = FittedModel.from_json(json.dumps(model_doc))
+    model = FittedModel.from_dict(model_doc)
     schema = _model_schema(model_doc)
     categoricals = {**schema.categoricals, **typed}
     sample_a, design_a = _load_sample_a(

@@ -151,7 +151,8 @@ def ppswr_design(population_size: float | None = None) -> DesignSpec:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense n x p matrix; full rank is only checked at decomposition time."""
+    """Dense n x p matrix, built as the transpose of a C-contiguous p x n
+    array; full rank is only checked at decomposition time."""
 
     values: np.ndarray
     column_names: tuple[str, ...]
@@ -164,10 +165,6 @@ class DesignMatrix:
             raise UnknownCovariate("<empty design>")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("non-finite entry in design matrix")
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
 
 
 def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
@@ -217,22 +214,19 @@ def build_design_matrix(
 ) -> DesignMatrix:
     """Assemble the model matrix in declaration order, intercept first."""
     covariates = tuple(covariates)
-    if not covariates and not intercept:
-        raise UnknownCovariate("<empty design>")
     for name in covariates:
         if name not in sample.columns:
             raise UnknownCovariate(name)
-    blocks = []
-    names: list[str] = []
-    if intercept:
-        blocks.append(np.ones((sample.n, 1)))
-        names.append("(intercept)")
-    for name in covariates:
-        blocks.append(sample.columns[name][:, None])
-        names.append(name)
+    first = 1 if intercept else 0
+    names = ("(intercept)",) * first + covariates
+    # a C-contiguous p x n array, so every sum over units runs along its rows
+    rows = np.empty((len(names), sample.n))
+    rows[:first] = 1.0
+    for row, name in zip(rows[first:], covariates):
+        row[:] = sample.columns[name]
     return DesignMatrix(
-        values=np.hstack(blocks),
-        column_names=tuple(names),
+        values=rows.T,
+        column_names=names,
         intercept_included=intercept,
     )
 

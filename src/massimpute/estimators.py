@@ -88,13 +88,13 @@ def fit_propensity(
     def score(phi):
         nonlocal pi
         pi = mean_values(ModelFamily.LOGISTIC, xa, phi)
-        return xb_total - xa.T @ (wa * pi)
+        return xb_total - np.einsum("in,n->i", xa.T, wa * pi)
 
     def jacobian(phi):
         # pi was computed at phi by the score call just before this one
-        return -(xa.T * (wa * pi * (1.0 - pi))) @ xa
+        return -np.einsum("in,jn->ij", xa.T * (wa * pi * (1.0 - pi)), xa.T)
 
-    phi, iterations, norm = damped_newton(score, jacobian, np.zeros(design_a.p), 1e-8)
+    phi, iterations, norm = damped_newton(score, jacobian, np.zeros(xa.shape[1]), 1e-8)
     return PropensityModel(phi, norm, iterations, design_a.column_names)
 
 

@@ -3,14 +3,15 @@
 Three families are supported: linear, logistic, and log-linear.  Coefficients
 solve the quasi-score equations with the canonical instrument h(x) = x, so the
 fit coincides with the usual GLM score equations.  The linear family is solved
-in one step via the normal equations; the others use Newton iteration with an
-analytic Jacobian and step-halving on the score norm.
+in one step by :func:`least_squares`, which the bootstrap's refits share; the
+others use Newton iteration with an analytic Jacobian and step-halving on the
+score norm.  Sums over units are ``np.einsum`` calls without ``optimize`` on
+the design's p x n transpose, never BLAS, so no fit depends on its threads.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,10 @@ _EXP_CLIP = 700.0
 MAX_ITERATIONS = 100
 MAX_HALVINGS = 20
 DIVERGENCE_BOUND = 1e4
+
+# a Gram matrix whose eigenvalue ratio clears this is full rank by a wide
+# margin; the others are left to an exact rank test
+_RANK_SCREEN = 1e-8
 
 
 class ModelFamily(enum.Enum):
@@ -69,16 +74,14 @@ def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndar
 
 
 def mean_gradients(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Row-wise gradient of m with respect to beta (n x p)."""
+    """Row-wise gradient of m with respect to beta (n x p), in the layout of X."""
     X = np.asarray(X, dtype=float)
-    if family is ModelFamily.LINEAR:
-        if X.shape[-1] != np.asarray(beta).shape[0]:
-            raise DimensionMismatch()
-        return X.copy()
     m = mean_values(family, X, beta)
-    if family is ModelFamily.LOGISTIC:
-        return (m * (1.0 - m))[:, None] * X
-    return m[:, None] * X
+    if family is ModelFamily.LINEAR:
+        m = 1.0
+    elif family is ModelFamily.LOGISTIC:
+        m = m * (1.0 - m)
+    return (X.T * m).T
 
 
 @dataclass(frozen=True)
@@ -90,16 +93,11 @@ class FittedModel:
     iterations: int
     final_score_norm: float
 
-    def to_json(self) -> str:
-        doc = {
-            "family": self.family.value,
-            "beta_hat": [float(b) for b in self.beta_hat],
-            "covariate_names": list(self.covariate_names),
-            "intercept_included": self.intercept_included,
-            "iterations": self.iterations,
-            "final_score_norm": self.final_score_norm,
-        }
-        return json.dumps(doc, indent=2)
+    def to_dict(self) -> dict:
+        """The fields as JSON values; :meth:`from_dict` reads them back."""
+        return {**vars(self), "family": self.family.value,
+                "beta_hat": [float(b) for b in self.beta_hat],
+                "covariate_names": list(self.covariate_names)}
 
     @property
     def raw_names(self) -> tuple[str, ...]:
@@ -108,11 +106,11 @@ class FittedModel:
         return tuple(n for n in self.covariate_names if n != "(intercept)")
 
     @classmethod
-    def from_json(cls, text: str) -> "FittedModel":
-        """Parse a model document; keys it does not use, such as the
-        ``h_choice`` that older files carry, are ignored.  A missing or
-        malformed field raises :class:`ValidationError`."""
-        doc = json.loads(text)
+    def from_dict(cls, doc) -> "FittedModel":
+        """Read a parsed model document; keys it does not use, such as the
+        ``h_choice`` that older files carry, are ignored.  A document that is
+        not an object, or a missing or malformed field, raises
+        :class:`ValidationError`."""
         try:
             return cls(
                 family=ModelFamily(doc["family"]),
@@ -124,13 +122,6 @@ class FittedModel:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed model document: {exc!r}") from None
-
-
-def _solve_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(X.T @ X, X.T @ y)
-    except np.linalg.LinAlgError:
-        raise RankDeficient() from None
 
 
 def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
@@ -182,21 +173,15 @@ def _check_separation(family: ModelFamily, m: np.ndarray) -> None:
 def solve_quasi_score(
     family: ModelFamily, X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, float]:
-    """Root-find the quasi-score on raw arrays; returns (beta, iters, norm).
+    """Root-find the quasi-score on raw arrays for the logistic and
+    log-linear families; returns (beta, iters, norm).
 
-    ``weights`` (logistic and log-linear only) counts each row: the score is
-    ``X' (c * (y - m)) / sum(c)``, so a row of weight c stands for c copies
-    of it.  The bootstrap passes each resample's distinct rows with their
-    draw counts.  The default, one per row, gives the plain fit bit for bit,
-    since multiplying by 1.0 is exact.  Linear refits are batched in
-    :mod:`massimpute.bootstrap`; only :func:`fit_model` calls this for the
-    linear family.
+    ``weights`` counts each row: the score is ``X' (c * (y - m)) / sum(c)``,
+    so a row of weight c stands for c copies of it.  The bootstrap passes each
+    resample's distinct rows with their draw counts.  The default, one per
+    row, gives the plain fit bit for bit, since multiplying by 1.0 is exact.
     """
     n, p = X.shape
-    if family is ModelFamily.LINEAR:
-        beta = _solve_linear(X, y)
-        norm = float(np.max(np.abs((X.T @ (y - X @ beta)) / n)))
-        return beta, 1, norm
     c = np.ones(n) if weights is None else weights
     total = c.sum()
     m = None
@@ -204,12 +189,12 @@ def solve_quasi_score(
     def score(beta):
         nonlocal m
         m = mean_values(family, X, beta)
-        return (X.T @ (c * (y - m))) / total
+        return np.einsum("in,n->i", X.T, c * (y - m)) / total
 
     def jacobian(beta):
         # m was computed at beta by the score call just before this one
         w = m * (1.0 - m) if family is ModelFamily.LOGISTIC else m
-        return -(X.T * (c * w)) @ X / total
+        return -np.einsum("in,jn->ij", X.T * (c * w), X.T) / total
 
     try:
         beta, iterations, norm = damped_newton(score, jacobian, np.zeros(p), 1e-10)
@@ -221,6 +206,65 @@ def solve_quasi_score(
     return beta, iterations, norm
 
 
+def least_squares(design: DesignMatrix, y: np.ndarray):
+    """Count-weighted least squares of ``y`` on ``design``: ``solve(counts)``
+    fits each row of a k x n count matrix (a resample's draw counts, or ones)
+    and returns the k x p coefficients and a mask of the rows that fitted:
+    those whose Gram matrix clears an eigenvalue screen or, failing it, whose
+    count-weighted design passes the exact ``matrix_rank`` test, and solves.
+    As a Gram matrix squares the condition number, the columns are centred on
+    their means if the design has an intercept (without one, centring would
+    change the model) and scaled by their root mean square, unless constant
+    to rounding so that they fail the screen; coefficients are mapped back.
+    """
+    X = design.values
+    n, p = X.shape
+    # the scaled design Z in the first p rows, then y
+    V = np.empty((p + 1, n))
+    V[p] = y
+    Z = V[:p]
+    shift = np.zeros(p)
+    if design.intercept_included:
+        shift[1:] = X.T[1:].sum(axis=1) / n
+    np.subtract(X.T, shift[:, None], out=Z)
+    scale = np.sqrt(np.einsum("in,in->i", Z, Z) / n)
+    scale[scale <= n * np.finfo(float).eps * np.abs(shift)] = 1.0
+    Z /= scale[:, None]
+    back = np.diag(1.0 / scale)
+    back[:, 0] -= shift / scale
+    row = np.empty(n)
+
+    def solve(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # count-weighted sums of each product row V[r] * V[c], formed one at
+        # a time: the Gram matrix, then Z'y in column p
+        sums = np.empty((len(counts), p + 1, p + 1))
+        for r in range(p):
+            for c in range(r, p + 1):
+                np.multiply(V[r], V[c], out=row)
+                sums[:, r, c] = sums[:, c, r] = np.einsum("kn,n->k", counts, row)
+        gram, rhs = sums[:, :p, :p], sums[:, :p, p:]
+        eig = np.linalg.eigvalsh(gram)
+        ok = eig[:, 0] > _RANK_SCREEN * eig[:, -1]
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                ok[j] = np.linalg.matrix_rank(X * np.sqrt(counts[j])[:, None]) == p
+            # a row that failed solves to zero coefficients
+            gram[~ok], rhs[~ok] = np.eye(p), 0.0
+        try:
+            gammas = np.linalg.solve(gram, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            # an exactly singular Gram matrix fails its own row only
+            gammas = np.zeros((len(counts), p))
+            for j in np.flatnonzero(ok):
+                try:
+                    gammas[j] = np.linalg.solve(gram[j], rhs[j])[:, 0]
+                except np.linalg.LinAlgError:
+                    ok[j] = False
+        return gammas @ back, ok
+
+    return solve
+
+
 def fit_model(
     family: ModelFamily,
     sample_b: SurveySample,
@@ -228,14 +272,21 @@ def fit_model(
 ) -> FittedModel:
     y = sample_b.responses
     X = design_matrix.values
-    if len(y) != X.shape[0]:
+    n, p = X.shape
+    if len(y) != n:
         raise DimensionMismatch("design rows do not align with responses")
-    if X.shape[0] < X.shape[1]:
-        raise RankDeficient("need at least as many observations as parameters")
-    # solve() does not flag near-singular systems; a rank check does
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise RankDeficient()
-    beta, iterations, norm = solve_quasi_score(family, X, y)
+    if family is ModelFamily.LINEAR:
+        # the bootstrap refits' rank rule: the screen, else the exact test
+        betas, ok = least_squares(design_matrix, y)(np.ones((1, n)))
+        if not ok[0]:
+            raise RankDeficient()
+        beta, iterations = betas[0], 1
+        norm = float(np.max(np.abs(np.einsum("in,n->i", X.T, y - X @ beta) / n)))
+    else:
+        # solve() flags neither near-singular designs nor short ones; this does
+        if np.linalg.matrix_rank(X) < p:
+            raise RankDeficient()
+        beta, iterations, norm = solve_quasi_score(family, X, y)
     return FittedModel(
         family=family,
         beta_hat=beta,

@@ -73,9 +73,9 @@ def compute_c_hat(
     total) form.
     """
     grad_b = mean_gradients(model.family, design_b.values, model.beta_hat)
-    lhs = grad_b.T @ design_b.values
+    lhs = np.einsum("in,jn->ij", grad_b.T, design_b.values.T)
     grad_a = mean_gradients(model.family, design_a.values, model.beta_hat)
-    rhs = grad_a.T @ sample_a.weights
+    rhs = np.einsum("in,n->i", grad_a.T, sample_a.weights)
     try:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
@@ -141,7 +141,7 @@ def variance_component_a(
             )
         pi = np.diag(pij)
         delta = (pij - np.outer(pi, pi)) / pij
-        return float(z @ delta @ z / N**2)
+        return float(np.einsum("i,ij,j->", z, delta, z) / N**2)
     raise MissingJointProbabilities(
         f"design {design_spec.design.value} does not supply joint probabilities"
     )

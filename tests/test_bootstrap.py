@@ -180,21 +180,28 @@ class TestLinearRefitOracle:
         np.testing.assert_allclose(betas, expected, rtol=1e-12, atol=1e-12)
 
     def test_covariate_far_from_origin(self, rng):
-        # the Gram eigenvalue ratio is about 1e-14, yet every resample has
-        # full rank: the screen must defer to the exact rank test
+        # the raw Gram eigenvalue ratio is about 1e-14, yet every resample
+        # has full rank, and no resample may be redrawn
         x = rng.normal(1e6, 1e5, size=200)
         sample, dm = _linear_b(x, 1 + 2 * x + rng.normal(size=200))
         betas, retries = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=300, seed=5)
         expected, expected_retries = _refit_loop(dm.values, sample.responses, 300, 5)
         assert retries == expected_retries == 0
         np.testing.assert_allclose(betas[:, 1], expected[:, 1], rtol=1e-9)
-        # the intercept is determined only to about 1e-7 here by any
-        # normal-equation solve; the fitted means it yields agree closely
+        # the reference loop's uncentred normal equations give the intercept
+        # only to about 1e-7; the fitted means it yields agree closely
         np.testing.assert_allclose(dm.values @ betas.T, dm.values @ expected.T,
                                    rtol=1e-9)
+        # an SVD solve of each gathered resample pins the intercept too
+        lstsq = np.array([
+            np.linalg.lstsq(dm.values[idx], sample.responses[idx], rcond=None)[0]
+            for idx in (_v1_stream(5, k, 1).integers(0, 200, size=200)
+                        for k in range(300))
+        ])
+        np.testing.assert_allclose(betas, lstsq, rtol=1e-9, atol=1e-7)
 
-    # 3.0 gives an exactly singular Gram matrix; with 0.1 it solves, and
-    # only the rank test rejects it
+    # both centre to a zero column, left unscaled, so every resample fails
+    # the eigenvalue screen and then the exact rank test
     @pytest.mark.parametrize("value", [3.0, 0.1])
     def test_constant_covariate_aborts_at_first_replicate(self, value):
         sample, dm = _linear_b(np.full(10, value), np.arange(10.0))

@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import massimpute
 from massimpute import ModelFamily, bootstrap_refit, build_design_matrix
 from massimpute.bootstrap import manifest_path
 from massimpute.cli import run_cli
@@ -62,10 +66,12 @@ class TestFit:
         assert str(train) in doc["input_digests"]
 
     def test_duplicate_covariate_exits_4(self, tmp_path, capsys):
-        train = _write_b(tmp_path / "b.csv", [0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
+        # x2 repeats x under another name; a name typed twice exits 2
+        train = write_csv(tmp_path / "b.csv", ["x", "x2", "y"],
+                          [[0.0, 0.0, 1.0], [1.0, 1.0, 3.0], [2.0, 2.0, 5.0]])
         code = run_cli([
             "fit", "--train", str(train), "--response", "y",
-            "--covariates", "x,x", "--out", str(tmp_path / "m.json"),
+            "--covariates", "x,x2", "--out", str(tmp_path / "m.json"),
         ])
         assert code == 4
         err = json.loads(capsys.readouterr().err)
@@ -491,6 +497,51 @@ def test_names_that_need_quoting_round_trip(tmp_path, rng):
     )["variance"]
 
 
+def _pipeline_outputs(directory: pathlib.Path, blas_threads: int) -> dict:
+    """Bytes of every file that fit, impute, a linearized estimate and a
+    bootstrap write for the linear and the logistic family, each command a
+    process with ``blas_threads`` BLAS threads; inputs are in the parent
+    directory, so the digests' paths are the same for every run."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "OMP_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": str(pathlib.Path(massimpute.__file__).parent.parent)}
+    for var in ("MASSIMPUTE_SEED", "MASSIMPUTE_THREADS"):
+        env.pop(var, None)
+    directory.mkdir()
+    for family, response in (("linear", "y"), ("logistic", "z")):
+        fit = ["--train", "../b.csv", "--response", response,
+               "--covariates", "x,x2", "--family", family]
+        model, imputed = f"model_{family}.json", f"imputed_{family}.csv"
+        for argv in (
+            ["fit", *fit, "--out", model],
+            ["impute", "--model", model, "--sample-a", "../a.csv", "--weight", "w",
+             "--out", imputed],
+            ["estimate", "--imputed", imputed, "--variance", "linearized",
+             "--train", "../b.csv", "--report", f"report_{family}.json"],
+            ["bootstrap", *fit, "--sample-a", "../a.csv", "--weight", "w",
+             "--L", "10", "--seed", "3", "--out", f"release_{family}.csv"],
+        ):
+            subprocess.run([sys.executable, "-m", "massimpute.cli", *argv],
+                           cwd=directory, env=env, check=True)
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, rng):
+    # OpenBLAS splits a product over units between threads only for large
+    # operands (above about 155k rows x 3 on a 2-vCPU host), so B is large
+    n_b, n_a = 200_000, 2_000
+    x, x2 = rng.normal(2, 1, n_b), rng.normal(0, 1, n_b)
+    y = 1 + 2 * x - x2 + rng.normal(size=n_b)
+    z = (rng.random(n_b) < 1 / (1 + np.exp(1 - 0.8 * x - 0.3 * x2))).astype(float)
+    write_csv(tmp_path / "b.csv", ["x", "x2", "y", "z"], zip(x, x2, y, z))
+    write_csv(tmp_path / "a.csv", ["x", "x2", "w"],
+              zip(rng.normal(2, 1, n_a), rng.normal(0, 1, n_a), np.full(n_a, 500.0)))
+    one = _pipeline_outputs(tmp_path / "threads1", 1)
+    two = _pipeline_outputs(tmp_path / "threads2", 2)
+    assert len(one) == 12 and one.keys() == two.keys()
+    assert [name for name in one if one[name] != two[name]] == []
+
+
 _REPORT_KEYS = {"estimator", "theta_hat", "n_a", "n_b", "population_size_used",
                 "version", "input_digests"}
 
@@ -672,6 +723,17 @@ def _bad_input_case(case, files, monkeypatch):
     if case == "categorical without =":
         return ["fit", "--train", absent, "--response", "y", "--covariates",
                 "x", "--categorical", "g", "--out", str(d / "m.json")]
+    fit = ["fit", "--train", absent, "--response", "y", "--out", str(d / "m.json")]
+    if case == "covariates naming x twice":
+        return [*fit, "--covariates", "x,x"]
+    if case == "covariates with an empty name":
+        return [*fit, "--covariates", "x,"]
+    if case == "covariates holding the response":
+        return [*fit, "--covariates", "x,y"]
+    if case == "categorical column not a covariate":
+        return ["bootstrap", "--train", absent, "--response", "y", "--covariates",
+                "x", "--categorical", "q=r", "--sample-a", absent, "--weight", "w",
+                "--out", str(d / "aug.csv")]
     linearized = ["estimate", "--imputed", absent, "--variance", "linearized",
                   "--report", str(d / "r.json")]
     if case == "linearized without train":
@@ -704,6 +766,10 @@ def _bad_input_case(case, files, monkeypatch):
     ("malformed config", 2, "UsageError"),
     ("non-numeric pop size", 2, "UsageError"),
     ("categorical without =", 2, "UsageError"),
+    ("covariates naming x twice", 2, "UsageError"),
+    ("covariates with an empty name", 2, "UsageError"),
+    ("covariates holding the response", 2, "UsageError"),
+    ("categorical column not a covariate", 2, "UsageError"),
     ("linearized without train", 2, "UsageError"),
     ("srs without numeric pop size", 2, "UsageError"),
     ("truncated manifest", 3, "ValidationError"),
@@ -739,7 +805,7 @@ def test_bad_input_exits_with_json_error(
     if case.startswith("negative"):
         assert ("--boot-l" if case.endswith("boot-l") else "seed") in err["message"]
     if case.startswith(("threads", "reps", "L ", "n-a", "n-b", "pop-size",
-                        "categorical")):
+                        "categorical", "covariates")):
         assert "--" + case.split()[0] in err["message"]
     if case == "linearized without train":
         assert "--train" in err["message"]

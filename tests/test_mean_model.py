@@ -218,11 +218,10 @@ def test_serialization_round_trip(rng):
     sample = make_sample_b(x, 0.5 * x + rng.normal(size=50))
     dm = build_design_matrix(sample, ("x",), intercept=True)
     model = fit_model(ModelFamily.LINEAR, sample, dm)
-    again = FittedModel.from_json(model.to_json())
+    again = FittedModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert again.family == model.family
     np.testing.assert_array_equal(again.beta_hat, model.beta_hat)
     assert again.covariate_names == model.covariate_names
     # model files written before h_choice was dropped still load
-    old_doc = dict(json.loads(model.to_json()), h_choice="canonical")
-    legacy = FittedModel.from_json(json.dumps(old_doc))
+    legacy = FittedModel.from_dict(dict(model.to_dict(), h_choice="canonical"))
     np.testing.assert_array_equal(legacy.beta_hat, model.beta_hat)
