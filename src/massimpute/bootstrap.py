@@ -10,7 +10,8 @@ be estimated without any access to sample B.
 Replicate k draws from its own stream, the v1 layout
 ``default_rng(SeedSequence([seed, k, tag, attempt]))`` with tag 0 for the
 weights, tag 1 for the resample of B and attempt counting redraws, so output
-is identical whether replicates are computed serially or in parallel, and
+is identical whether replicates are computed serially or in parallel
+(contiguous ranges of them in forked worker processes, :mod:`.workers`), and
 the first columns do not change when L grows.  Building a ``SeedSequence``
 and a generator per stream cost more than the draws, so :mod:`.seeding`
 computes every replicate's PCG64 start state in one vectorised pass of the
@@ -61,6 +62,7 @@ from .mean_model import (
 )
 from .seeding import pcg64_states
 from .table import read_columns, read_json, write_table
+from .workers import fork_map
 
 _REFIT_RETRY_CAP = 10
 # replicates are refitted in blocks of about this many resample counts, so a
@@ -151,13 +153,17 @@ def bootstrap_refit(
     design_b: DesignMatrix,
     L: int,
     seed: int,
+    workers: int = 1,
 ) -> tuple[np.ndarray, int]:
     """Refit the mean model on L with-replacement resamples of sample B.
 
     Returns the L x p coefficient matrix and the number of redrawn
     replicates.  A replicate whose fit fails is redrawn with a fresh
     substream up to a retry cap, then the run aborts naming the lowest
-    replicate that failed.
+    replicate that failed.  Contiguous ranges of replicates run in up to
+    ``workers`` processes (:func:`~massimpute.workers.fork_map`); each
+    replicate depends on its index alone, so the result does not depend on
+    ``workers``.
     """
     if L < 1:
         raise ValidationError("number of replicates must be at least 1")
@@ -166,27 +172,39 @@ def bootstrap_refit(
     n, p = X.shape
     solve = (least_squares(design_b, y) if family is ModelFamily.LINEAR
              else _quasi_score_fits(family, X, y))
-    betas = np.empty((L, p))
-    retries = 0
     block = max(1, _BLOCK_CELLS // n)
-    buffer = np.empty((min(block, L), n))  # reused by every block and redraw
-    for start in range(0, L, block):
-        pending = np.arange(start, min(start + block, L))
-        for attempt in range(_REFIT_RETRY_CAP + 1):
-            counts = buffer[: len(pending)]
-            for j, gen in enumerate(_streams(seed, pending, 1, attempt)):
-                counts[j] = np.bincount(gen.integers(0, n, size=n), minlength=n)
-            fitted, ok = solve(counts)
-            betas[pending[ok]] = fitted[ok]
-            pending = pending[~ok]
-            if not pending.size:
-                break
-            retries += pending.size
-        else:
+
+    def refit(reps: range) -> tuple[np.ndarray, int, int | None]:
+        """The coefficients of ``reps``, their redraws and the lowest
+        replicate that failed every redraw, or None."""
+        betas = np.empty((len(reps), p))
+        retries = 0
+        # reused by every block and redraw
+        buffer = np.empty((min(block, len(reps)), n))
+        for start in range(reps.start, reps.stop, block):
+            pending = np.arange(start, min(start + block, reps.stop))
+            for attempt in range(_REFIT_RETRY_CAP + 1):
+                counts = buffer[: len(pending)]
+                for j, gen in enumerate(_streams(seed, pending, 1, attempt)):
+                    counts[j] = np.bincount(gen.integers(0, n, size=n), minlength=n)
+                fitted, ok = solve(counts)
+                betas[pending[ok] - reps.start] = fitted[ok]
+                pending = pending[~ok]
+                if not pending.size:
+                    break
+                retries += pending.size
+            else:
+                return betas, retries, int(pending[0])
+        return betas, retries, None
+
+    parts = fork_map(refit, L, workers)
+    for _, _, failed in parts:
+        if failed is not None:
             raise NumericalError(
-                f"replicate {pending[0]} failed to fit after {_REFIT_RETRY_CAP} redraws"
+                f"replicate {failed} failed to fit after {_REFIT_RETRY_CAP} redraws"
             )
-    return betas, retries
+    return (np.concatenate([betas for betas, _, _ in parts]),
+            sum(retries for _, retries, _ in parts))
 
 
 def build_replicates(
@@ -198,11 +216,15 @@ def build_replicates(
     design_spec: DesignSpec,
     L: int,
     seed: int,
+    workers: int = 1,
 ) -> ReplicateSet:
-    """Compose the four bootstrap steps into a paired replicate set."""
+    """Compose the four bootstrap steps into a paired replicate set; the
+    refits run in up to ``workers`` processes."""
     base = predict_all(model, design_a)
     rep_w = replicate_weights(sample_a, design_spec, L, seed)
-    betas, retries = bootstrap_refit(sample_b, model.family, design_b, L, seed)
+    betas, retries = bootstrap_refit(
+        sample_b, model.family, design_b, L, seed, workers
+    )
     # column k of imputations comes from replicate k's coefficients only
     rep_yhat = mean_values(model.family, design_a.values, betas.T)
     return ReplicateSet(

@@ -41,6 +41,7 @@ from .mean_model import FittedModel, ModelFamily, fit_model, predict_all
 from .simulation import SimConfig, run_monte_carlo, write_per_rep_csv
 from .table import read_json, write_table
 from .variance import interval_summary, linearized_variance
+from .workers import usable_cpus
 
 
 def _sha256(path) -> str:
@@ -359,7 +360,7 @@ def cmd_bootstrap(args) -> int:
     sample_a, design_a = _load_sample_a(args, model, schema)
     replicate_set = build_replicates(
         model, sample_a, sample_b, design_a, design_b, ppswr_design(pop_size),
-        args.L, seed,
+        args.L, seed, usable_cpus(),
     )
     write_augmented_dataset(
         sample_a, replicate_set, model, args.out, population_size=pop_size
@@ -372,7 +373,8 @@ def cmd_simulate(args) -> int:
     if args.boot_l < 0:
         raise UsageError(f"--boot-l must be at least 0, got {args.boot_l}")
     threads = (
-        args.threads if args.threads is not None else _env_int("MASSIMPUTE_THREADS", 1)
+        args.threads if args.threads is not None
+        else _env_int("MASSIMPUTE_THREADS", usable_cpus())
     )
     if threads < 1:
         raise UsageError(f"--threads or MASSIMPUTE_THREADS must be at least 1, got {threads}")

@@ -9,15 +9,30 @@ CLI maps these to distinct exit codes.
 from __future__ import annotations
 
 
-class ValidationError(Exception):
+def _rebuild(cls, args, state):
+    exc = Exception.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
+
+class _Error(Exception):
+    # Pickled by its state, not by calling __init__ again with the message,
+    # which most subclasses' signatures reject, so an error raised in a worker
+    # process reaches the parent whole.
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+class ValidationError(_Error):
     """Input data or configuration violates a precondition."""
 
 
-class NumericalError(Exception):
+class NumericalError(_Error):
     """A numerical procedure failed (singularity, divergence, overflow)."""
 
 
-class UsageError(Exception):
+class UsageError(_Error):
     """A flag, environment variable or config file value is malformed."""
 
 

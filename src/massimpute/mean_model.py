@@ -39,6 +39,11 @@ DIVERGENCE_BOUND = 1e4
 # a Gram matrix whose eigenvalue ratio clears this is full rank by a wide
 # margin; the others are left to an exact rank test
 _RANK_SCREEN = 1e-8
+# with an intercept, a column whose root mean square about its mean is at most
+# this many ulps of the mean has fewer than 33 of its 53 bits left to vary:
+# constant, and the design rank deficient.  A constant stored to rounding
+# spreads by about one ulp; x ~ N(1e6, 0.05) by 2e8 ulps, and fits.
+_NEAR_CONSTANT_ULPS = 2.0**20
 
 
 class ModelFamily(enum.Enum):
@@ -74,12 +79,13 @@ def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndar
 
 
 def mean_gradients(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Row-wise gradient of m with respect to beta (n x p), in the layout of X."""
+    """Row-wise gradient of m with respect to beta (n x p), in the layout of
+    X; for the linear family X itself, not a copy."""
     X = np.asarray(X, dtype=float)
-    m = mean_values(family, X, beta)
     if family is ModelFamily.LINEAR:
-        m = 1.0
-    elif family is ModelFamily.LOGISTIC:
+        return X
+    m = mean_values(family, X, beta)
+    if family is ModelFamily.LOGISTIC:
         m = m * (1.0 - m)
     return (X.T * m).T
 
@@ -214,8 +220,9 @@ def least_squares(design: DesignMatrix, y: np.ndarray):
     count-weighted design passes the exact ``matrix_rank`` test, and solves.
     As a Gram matrix squares the condition number, the columns are centred on
     their means if the design has an intercept (without one, centring would
-    change the model) and scaled by their root mean square, unless constant
-    to rounding so that they fail the screen; coefficients are mapped back.
+    change the model) and scaled by their root mean square; coefficients are
+    mapped back.  A column within ``_NEAR_CONSTANT_ULPS`` of constant, or
+    all zero, fails every row.
     """
     X = design.values
     n, p = X.shape
@@ -228,13 +235,16 @@ def least_squares(design: DesignMatrix, y: np.ndarray):
         shift[1:] = X.T[1:].sum(axis=1) / n
     np.subtract(X.T, shift[:, None], out=Z)
     scale = np.sqrt(np.einsum("in,in->i", Z, Z) / n)
-    scale[scale <= n * np.finfo(float).eps * np.abs(shift)] = 1.0
+    constant = scale <= _NEAR_CONSTANT_ULPS * np.finfo(float).eps * np.abs(shift)
+    scale[constant] = 1.0
     Z /= scale[:, None]
     back = np.diag(1.0 / scale)
     back[:, 0] -= shift / scale
     row = np.empty(n)
 
     def solve(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if constant.any():
+            return np.zeros((len(counts), p)), np.zeros(len(counts), dtype=bool)
         # count-weighted sums of each product row V[r] * V[c], formed one at
         # a time: the Gram matrix, then Z'y in column p
         sums = np.empty((len(counts), p + 1, p + 1))

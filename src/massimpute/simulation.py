@@ -41,6 +41,7 @@ from .estimators import (
 from .mean_model import ModelFamily, fit_model
 from .table import write_table
 from .variance import linearized_variance
+from .workers import fork_map, usable_cpus
 
 MODEL_IDS = ("I", "II", "III")
 
@@ -149,9 +150,9 @@ class SimConfig:
     reps: int = 1000
     bootstrap_L: int = 500
     master_seed: int = 0
-    # accepted and checked, but reps run in one thread: a thread pool ran
-    # slower than serial, the reps being GIL-bound Python around small kernels
-    threads: int = 1
+    # reps run in up to this many forked processes, by default one per usable
+    # CPU; the report is the same for any value
+    threads: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
         if self.model_id not in MODEL_IDS:
@@ -263,19 +264,26 @@ class SimReport:
 
 
 def run_monte_carlo(config: SimConfig) -> SimReport:
-    """One fixed population, ``reps`` independent (A, B) draws, aggregated."""
+    """One fixed population, ``reps`` independent (A, B) draws, aggregated;
+    contiguous ranges of reps run in up to ``config.threads`` processes."""
     start = perf_counter()
     population = generate_population(
         PopulationSpec(config.model_id, config.population_size, config.master_seed)
     )
     theta_n = population.mean
 
-    kept = []
-    for rep in range(config.reps):
-        try:
-            kept.append(_run_one_rep(population, config, rep))
-        except NumericalError:
-            pass
+    def run_reps(reps: range) -> list:
+        out = []
+        for rep in reps:
+            try:
+                out.append(_run_one_rep(population, config, rep))
+            except NumericalError:
+                out.append(None)
+        return out
+
+    # a rep's refits run in its own process: build_replicates' workers=1
+    kept = [r for part in fork_map(run_reps, config.reps, config.threads)
+            for r in part if r is not None]
     failed = config.reps - len(kept)
     # the Monte Carlo variance (ddof = 1) needs two reps
     if len(kept) < 2:

@@ -77,6 +77,16 @@ class TestFit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "RankDeficient"
 
+    def test_covariate_constant_to_rounding_exits_4(self, tmp_path, capsys, rng):
+        x = 3.0 + rng.normal(0.0, 1e-12, size=500)
+        train = _write_b(tmp_path / "b.csv", x, rng.normal(size=500))
+        code = run_cli([
+            "fit", "--train", str(train), "--response", "y",
+            "--covariates", "x", "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "RankDeficient"
+
     def test_missing_column_exits_3(self, tmp_path, capsys):
         train = _write_b(tmp_path / "b.csv", [0.0, 1.0], [1.0, 3.0])
         code = run_cli([
@@ -268,11 +278,14 @@ class TestSimulateCommand:
         assert len(rows) == 7
 
     def test_threads_byte_identical(self, tmp_path):
+        # 8 asks for more workers than there are reps' ranges or CPUs
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
-        assert run_cli(self._args(serial, 1)) == 0
-        assert run_cli(self._args(parallel, 8)) == 0
+        assert run_cli(self._args(serial, 1, tmp_path / "serial.csv")) == 0
+        assert run_cli(self._args(parallel, 8, tmp_path / "parallel.csv")) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+        assert (tmp_path / "serial.csv").read_bytes() == (
+            tmp_path / "parallel.csv").read_bytes()
 
 
 def test_version_flag(capsys):
@@ -542,6 +555,69 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, rng):
     assert [name for name in one if one[name] != two[name]] == []
 
 
+def _release_files(directory: pathlib.Path, argv, one_cpu: bool, blas_threads: int):
+    """Bytes of the release file and manifest of ``bootstrap argv``, run as a
+    process with ``blas_threads`` BLAS threads and, if ``one_cpu``, pinned to
+    one CPU, so that its refits run in one process."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "OMP_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": str(pathlib.Path(massimpute.__file__).parent.parent)}
+    env.pop("MASSIMPUTE_SEED", None)
+    cpu = min(os.sched_getaffinity(0))
+    directory.mkdir()
+    subprocess.run([sys.executable, "-m", "massimpute.cli", "bootstrap", *argv,
+                    "--out", "release.csv"], cwd=directory, env=env, check=True,
+                   preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu else None)
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_bootstrap_workers_write_identical_files(tmp_path, rng):
+    n_b, n_a = 5_000, 300
+    x, x2 = rng.normal(2, 1, n_b), rng.normal(0, 1, n_b)
+    y = 1 + 2 * x - x2 + rng.normal(size=n_b)
+    z = (rng.random(n_b) < 1 / (1 + np.exp(1 - 0.8 * x - 0.3 * x2))).astype(float)
+    write_csv(tmp_path / "b.csv", ["x", "x2", "y", "z"], zip(x, x2, y, z))
+    write_csv(tmp_path / "a.csv", ["x", "x2", "w"],
+              zip(rng.normal(2, 1, n_a), rng.normal(0, 1, n_a), np.full(n_a, 50.0)))
+    # y = 1{x > 0} with the two middle labels swapped: a resample that misses
+    # either of them is separated and is redrawn
+    x_sep = np.linspace(-1.0, 1.0, 20)
+    y_sep = (x_sep > 0).astype(float)
+    y_sep[9], y_sep[10] = y_sep[10], y_sep[9]
+    _write_b(tmp_path / "sep.csv", x_sep, y_sep)
+    common = ["--sample-a", "../a.csv", "--weight", "w", "--L", "40", "--seed", "11"]
+    for name, fit in (
+        ("linear", ["--train", "../b.csv", "--response", "y", "--covariates", "x,x2"]),
+        ("logistic", ["--train", "../b.csv", "--response", "z", "--covariates", "x,x2",
+                      "--family", "logistic"]),
+        ("separated", ["--train", "../sep.csv", "--response", "y", "--covariates", "x",
+                       "--family", "logistic"]),
+    ):
+        one = _release_files(tmp_path / f"{name}1", [*fit, *common], True, 1)
+        # a worker per CPU, forked after OpenBLAS has started its threads
+        two = _release_files(tmp_path / f"{name}2", [*fit, *common], False, 4)
+        assert len(one) == 2 and one == two, name
+        if name == "separated":
+            assert json.loads(one["release.csv.manifest.json"])["redraws"] > 0
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_killed_worker_exits_3_with_json_error(tmp_path, capsys, monkeypatch):
+    def killed(population, config, rep):
+        os._exit(9)
+
+    # the forked workers inherit the patched rep
+    monkeypatch.setattr(massimpute.simulation, "_run_one_rep", killed)
+    code = run_cli(["simulate", "--model", "I", "--pop-size", "4000", "--n-a", "80",
+                    "--n-b", "80", "--reps", "4", "--boot-l", "0", "--threads", "2",
+                    "--report", str(tmp_path / "sim.json")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "IOFailure",
+                   "message": "worker process exited with code 9 before sending its result"}
+
+
 _REPORT_KEYS = {"estimator", "theta_hat", "n_a", "n_b", "population_size_used",
                 "version", "input_digests"}
 
@@ -703,6 +779,10 @@ def _bad_input_case(case, files, monkeypatch):
     if case == "threads in environment -3":
         monkeypatch.setenv("MASSIMPUTE_THREADS", "-3")
         return [*simulate, "--reps", "2"]
+    if case == "stratum exhausted in a worker":
+        # raised in a worker process; its error must reach the parent whole
+        return [*simulate, "--reps", "4", "--pop-size", "1000", "--n-a", "50",
+                "--n-b", "900", "--boot-l", "0", "--threads", "2"]
     if case == "reps 1":
         return simulate
     if case.startswith(("n-a", "n-b", "pop-size")):
@@ -772,6 +852,7 @@ def _bad_input_case(case, files, monkeypatch):
     ("categorical column not a covariate", 2, "UsageError"),
     ("linearized without train", 2, "UsageError"),
     ("srs without numeric pop size", 2, "UsageError"),
+    ("stratum exhausted in a worker", 3, "StratumExhausted"),
     ("truncated manifest", 3, "ValidationError"),
     ("manifest without L", 3, "ValidationError"),
     ("non-integer L", 3, "ValidationError"),
@@ -807,6 +888,8 @@ def test_bad_input_exits_with_json_error(
     if case.startswith(("threads", "reps", "L ", "n-a", "n-b", "pop-size",
                         "categorical", "covariates")):
         assert "--" + case.split()[0] in err["message"]
+    if case == "stratum exhausted in a worker":
+        assert err["message"] == "stratum x <= 2: requested 630 units, only 534 available"
     if case == "linearized without train":
         assert "--train" in err["message"]
     if case == "srs without numeric pop size":

@@ -48,6 +48,10 @@ class TestMeanValue:
 
 
 class TestMeanGradient:
+    def test_linear_is_the_design_itself(self, rng):
+        X = rng.normal(size=(50, 3))
+        assert mean_gradients(ModelFamily.LINEAR, X, np.ones(3)) is X
+
     def test_linear_is_identity(self):
         np.testing.assert_array_equal(
             mean_gradients(ModelFamily.LINEAR, [[1.0, 3.0]], [0.5, 0.5])[0],
@@ -140,6 +144,26 @@ class TestFitModel:
         X = dm.values
         oracle = np.linalg.lstsq(X, y, rcond=None)[0]
         np.testing.assert_allclose(model.beta_hat, oracle, atol=1e-8)
+
+    def test_column_constant_to_rounding_is_rank_deficient(self, rng):
+        # a spread of about 1,500 ulps of the mean: the column's variation is
+        # rounding, and a fit would give y a slope of order 1e10
+        x = 3.0 + rng.normal(0.0, 1e-12, size=500)
+        sample = make_sample_b(x, rng.normal(size=500))
+        dm = build_design_matrix(sample, ("x",), intercept=True)
+        with pytest.raises(RankDeficient):
+            fit_model(ModelFamily.LINEAR, sample, dm)
+
+    def test_column_far_from_origin_fits(self, rng):
+        # a spread of about 2e8 ulps of the mean: a valid regressor
+        x = rng.normal(1e6, 0.05, size=500)
+        y = 1.0 + 2.0 * (x - 1e6) + rng.normal(size=500)
+        sample = make_sample_b(x, y)
+        dm = build_design_matrix(sample, ("x",), intercept=True)
+        beta = fit_model(ModelFamily.LINEAR, sample, dm).beta_hat
+        centred = np.column_stack([np.ones(500), x - x.mean()])
+        slope = np.linalg.lstsq(centred, y, rcond=None)[0][1]
+        assert beta[1] == pytest.approx(slope, rel=1e-6)
 
     def test_logistic_separation(self):
         x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])

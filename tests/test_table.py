@@ -194,3 +194,18 @@ def test_write_table_bytes_match_csv_writer(tmp_path):
     rows = zip(*([float(v) for v in c] for c in columns))
     csv.writer(reference, lineterminator="\n").writerows([header, *rows])
     assert (tmp_path / "t.csv").read_bytes() == reference.getvalue().encode()
+
+
+def test_write_table_bytes_with_repeated_values(tmp_path, rng):
+    # most cells repeating a few values, both zeros among them, beside a
+    # column of distinct values
+    n = 40_000
+    header = ["w_rep", "k", "yhat"]
+    levels = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, 5e-324, 2000.0 * 40 / 39])
+    columns = [levels[rng.integers(0, len(levels), n)], np.arange(n) % 7,
+               rng.normal(size=n)]
+    write_table(tmp_path / "t.csv", header, columns)
+    reference = io.StringIO()
+    rows = zip(*([float(v) for v in c] for c in columns))
+    csv.writer(reference, lineterminator="\n").writerows([header, *rows])
+    assert (tmp_path / "t.csv").read_bytes() == reference.getvalue().encode()
