@@ -5,7 +5,9 @@ manifest and the estimate report carry the tool version and SHA-256 digests
 of their inputs; the release manifest and the simulate report carry the seed.
 Identical invocations reproduce byte-identical outputs.  Exit codes: 2
 usage, 3 data validation, 4 numerical failure; errors are emitted as a JSON
-object on stderr.
+object on stderr.  argparse checks each flag on its own (its types hold the
+bounds) and reports what it rejects as a usage error; the code checks only
+flags against each other.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -52,22 +53,62 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _parse_categoricals(pairs) -> dict[str, str]:
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(
-                f"--categorical expects col=reference_level, got {pair!r}"
-            )
-        col, ref = pair.split("=", 1)
-        out[col] = ref
-    return out
-
-
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated flag, and whose rejections
+    are usage errors: exit 2 with the JSON error on stderr, not usage text."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
+def _pop_size(text) -> float | None:
+    """An argparse type: a positive number, or None for 'estimate'."""
+    if text == "estimate":
+        return None
+    try:
+        N = float(text)
+    except ValueError:
+        N = float("nan")
+    if 0.0 < N < float("inf"):
+        return N
+    raise argparse.ArgumentTypeError(
+        f"expects a positive number or 'estimate', got {text!r}"
+    )
+
+
+def _names(text) -> tuple[str, ...]:
+    """An argparse type: distinct non-empty comma-separated names."""
+    names = tuple(text.split(","))
+    if "" in names or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"expects distinct names, got {text!r}")
+    return names
+
+
+def _categorical(text) -> tuple[str, str]:
+    """An argparse type: a ``col=reference_level`` pair."""
+    col, eq, ref = text.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expects col=reference_level, got {text!r}")
+    return col, ref
 
 
 def _splice_config(argv) -> tuple[list, dict]:
@@ -75,7 +116,7 @@ def _splice_config(argv) -> tuple[list, dict]:
     subcommand as ``--key`` (``_`` read as ``-``), so typed flags win, and the
     file's document.  ``true`` is a bare flag, ``false`` and ``null`` nothing,
     a list one flag per item, any other value ``--key=value``."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(prog="massimpute", add_help=False)
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     known, _ = pre.parse_known_args(argv)
@@ -98,50 +139,18 @@ def _splice_config(argv) -> tuple[list, dict]:
     return [*argv[:at], *flags, *argv[at:]], doc
 
 
-def _check_config_keys(doc: dict, args) -> None:
-    """Reject a key argparse took as an abbreviation, and a list for a flag
-    that would keep only its last item."""
+def _check_config_lists(doc: dict, args) -> None:
+    """Reject a list for a flag that would keep only its last item.  argparse
+    has checked every key that became a flag; a ``false``, ``null`` or ``[]``
+    key becomes none, so it sets nothing even when it names no flag."""
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise UsageError(f"--config key {key!r} is not a flag of {args.command}")
-        if isinstance(value, list) and not isinstance(getattr(args, dest), list):
+        if value and isinstance(value, list) and not isinstance(getattr(args, dest), list):
             raise UsageError(f"--config key {key!r} takes one value, not a list")
 
 
-def _env_int(name: str, default: int) -> int:
-    text = os.environ.get(name, str(default))
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {text!r}") from None
-
-
-def _seed(args) -> int:
-    """--seed, else MASSIMPUTE_SEED, else 0; a seed must be non-negative."""
-    seed = args.seed if args.seed is not None else _env_int("MASSIMPUTE_SEED", 0)
-    if seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _pop_size(args) -> float | None:
-    """--pop-size as a positive number, or None for 'estimate'."""
-    if args.pop_size == "estimate":
-        return None
-    try:
-        N = float(args.pop_size)
-        if 0.0 < N < float("inf"):
-            return N
-    except (TypeError, ValueError):
-        pass
-    raise UsageError(
-        f"--pop-size expects a positive number or 'estimate', got {args.pop_size!r}"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="massimpute",
         description="Survey data integration by mass imputation.",
     )
@@ -153,8 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
         # the mean-model fit of `fit` and `bootstrap`
         p.add_argument("--train", required=True)
         p.add_argument("--response", required=True)
-        p.add_argument("--covariates", required=True, help="comma-separated names")
-        p.add_argument("--categorical", action="append", metavar="COL=REF")
+        p.add_argument("--covariates", type=_names, required=True,
+                       help="comma-separated names")
+        p.add_argument("--categorical", type=_categorical, action="append",
+                       metavar="COL=REF")
         p.add_argument(
             "--family", choices=[f.value for f in ModelFamily], default="linear"
         )
@@ -168,12 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--sample-a", required=True)
     p.add_argument("--weight", required=True)
-    p.add_argument("--categorical", action="append", metavar="COL=REF")
+    p.add_argument("--categorical", type=_categorical, action="append",
+                   metavar="COL=REF")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate", help="point estimate with optional variance")
     p.add_argument("--imputed", required=True)
-    p.add_argument("--pop-size", default="estimate", help="a number or 'estimate'")
+    p.add_argument("--pop-size", type=_pop_size, help="a number or 'estimate'")
     p.add_argument(
         "--variance", choices=["linearized", "bootstrap", "none"], default="none"
     )
@@ -185,20 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_fit_flags(p)
     p.add_argument("--sample-a", required=True)
     p.add_argument("--weight", required=True)
-    p.add_argument("--pop-size", default="estimate")
-    p.add_argument("--L", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--pop-size", type=_pop_size, help="a number or 'estimate'")
+    p.add_argument("--L", type=_at_least(1), default=500)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo study")
     p.add_argument("--model", choices=["I", "II", "III"], required=True)
-    p.add_argument("--pop-size", type=int, default=100_000)
-    p.add_argument("--n-a", type=int, default=500)
-    p.add_argument("--n-b", type=int, default=500)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--boot-l", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--pop-size", type=_at_least(1), default=100_000)
+    p.add_argument("--n-a", type=_at_least(2), default=500)
+    p.add_argument("--n-b", type=_at_least(2), default=500)
+    # the Monte Carlo variance needs two reps
+    p.add_argument("--reps", type=_at_least(2), default=1000)
+    p.add_argument("--boot-l", type=_at_least(0), default=500)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--report", required=True)
     p.add_argument("--per-rep", help="optional CSV of per-rep estimates")
 
@@ -224,16 +236,13 @@ def _model_schema(model_doc: dict) -> ColumnSchema:
 
 def _fit_from_args(args):
     """Check the flags, load sample B, fit; (model, sample_b, design_b, schema)."""
-    covariates = tuple(args.covariates.split(","))
-    categoricals = _parse_categoricals(args.categorical)
-    names = set(covariates)
-    if "" in names or args.response in names or len(names) < len(covariates):
-        raise UsageError("--covariates must name distinct columns other than the "
-                         f"response, got {args.covariates!r}")
-    stray = set(categoricals) - names
+    categoricals = dict(args.categorical or ())
+    if args.response in args.covariates:
+        raise UsageError(f"--covariates holds the --response column {args.response!r}")
+    stray = set(categoricals) - set(args.covariates)
     if stray:
         raise UsageError(f"--categorical column {stray.pop()!r} is not in --covariates")
-    schema = ColumnSchema(covariates, args.response, categoricals=categoricals)
+    schema = ColumnSchema(args.covariates, args.response, categoricals=categoricals)
     sample_b = load_sample(args.train, schema, SampleKind.NON_PROBABILITY_B)
     design_b = build_design_matrix(
         sample_b, sample_b.covariate_names, intercept=not args.no_intercept
@@ -276,7 +285,7 @@ def _load_sample_a(args, model, schema):
 
 
 def cmd_impute(args) -> int:
-    typed = _parse_categoricals(args.categorical)
+    typed = dict(args.categorical or ())
     model_doc = read_json(args.model)
     model = FittedModel.from_dict(model_doc)
     schema = _model_schema(model_doc)
@@ -305,14 +314,13 @@ def cmd_impute(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    pop_size = _pop_size(args)
     linearized = args.variance == "linearized"
     if linearized and not args.train:
         raise UsageError("linearized variance requires --train")
-    if linearized and args.design == "srs" and pop_size is None:
+    if linearized and args.design == "srs" and args.pop_size is None:
         raise UsageError("SRS design needs a numeric --pop-size")
     dataset = read_augmented_dataset(args.imputed, with_sample=linearized)
-    N = dataset.population_size_used(pop_size)
+    N = dataset.population_size_used(args.pop_size)
     theta = ht_mean(dataset.yhat, dataset.weights, N)
     doc = {
         "estimator": "mass_imputation",
@@ -352,49 +360,27 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    seed = _seed(args)
-    pop_size = _pop_size(args)
-    if args.L < 1:
-        raise UsageError(f"--L must be at least 1, got {args.L}")
     model, sample_b, design_b, schema = _fit_from_args(args)
     sample_a, design_a = _load_sample_a(args, model, schema)
     replicate_set = build_replicates(
-        model, sample_a, sample_b, design_a, design_b, ppswr_design(pop_size),
-        args.L, seed, usable_cpus(),
+        model, sample_a, sample_b, design_a, design_b, ppswr_design(args.pop_size),
+        args.L, args.seed, usable_cpus(),
     )
     write_augmented_dataset(
-        sample_a, replicate_set, model, args.out, population_size=pop_size
+        sample_a, replicate_set, model, args.out, population_size=args.pop_size
     )
     return 0
 
 
 def cmd_simulate(args) -> int:
-    seed = _seed(args)
-    if args.boot_l < 0:
-        raise UsageError(f"--boot-l must be at least 0, got {args.boot_l}")
-    threads = (
-        args.threads if args.threads is not None
-        else _env_int("MASSIMPUTE_THREADS", usable_cpus())
-    )
-    if threads < 1:
-        raise UsageError(f"--threads or MASSIMPUTE_THREADS must be at least 1, got {threads}")
-    # the Monte Carlo variance needs two reps
-    if args.reps < 2:
-        raise UsageError(f"--reps must be at least 2, got {args.reps}")
-    for flag, value, least in (("--pop-size", args.pop_size, 1),
-                               ("--n-a", args.n_a, 2), ("--n-b", args.n_b, 2)):
-        if value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
-    config = SimConfig(
-        model_id=args.model,
-        population_size=args.pop_size,
-        n_a=args.n_a,
-        n_b=args.n_b,
-        reps=args.reps,
-        bootstrap_L=args.boot_l,
-        master_seed=seed,
-        threads=threads,
-    )
+    try:
+        # the reps run in one worker per usable CPU
+        config = SimConfig(
+            model_id=args.model, population_size=args.pop_size, n_a=args.n_a,
+            n_b=args.n_b, reps=args.reps, bootstrap_L=args.boot_l, master_seed=args.seed,
+        )
+    except ValidationError as exc:  # flags that conflict, such as n_a + n_b > N
+        raise UsageError(f"simulate: {exc}") from None
     report = run_monte_carlo(config)
     with open(args.report, "w") as fh:
         fh.write(report.to_json())
@@ -430,7 +416,7 @@ def run_cli(argv=None) -> int:
     try:
         argv, config = _splice_config(argv)
         args = build_parser().parse_args(argv)
-        _check_config_keys(config, args)
+        _check_config_lists(config, args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         return _fail(exc, 2)

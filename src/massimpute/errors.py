@@ -33,7 +33,7 @@ class NumericalError(_Error):
 
 
 class UsageError(_Error):
-    """A flag, environment variable or config file value is malformed."""
+    """A flag or config file value is malformed, or flags conflict."""
 
 
 # -- data / schema -----------------------------------------------------------

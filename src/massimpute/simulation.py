@@ -150,8 +150,8 @@ class SimConfig:
     reps: int = 1000
     bootstrap_L: int = 500
     master_seed: int = 0
-    # reps run in up to this many forked processes, by default one per usable
-    # CPU; the report is the same for any value
+    # reps run in up to this many forked processes, by default (and always
+    # from the CLI) one per usable CPU; the report is the same for any value
     threads: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):

@@ -97,10 +97,11 @@ class TestFit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingColumn"
 
-    def test_usage_error_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["fit", "--train", "b.csv"])
-        assert exc.value.code == 2
+    def test_usage_error_exits_2(self, capsys):
+        assert run_cli(["fit", "--train", "b.csv"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError"
+        assert "--response" in err["message"]
 
 
 class TestPipeline:
@@ -214,21 +215,6 @@ class TestBootstrapCommand:
         assert docs[1]["population_size_used"] == 1500.0
         assert docs[0]["theta_hat"] == docs[1]["theta_hat"]
 
-    def test_seed_env_override(self, pipeline_files, monkeypatch):
-        first = pipeline_files["dir"] / "aug1.csv"
-        second = pipeline_files["dir"] / "aug2.csv"
-        monkeypatch.setenv("MASSIMPUTE_SEED", "17")
-        base_args = [
-            "bootstrap", "--train", pipeline_files["train"],
-            "--response", "y", "--covariates", "x",
-            "--sample-a", pipeline_files["sample_a"], "--weight", "w",
-            "--L", "5",
-        ]
-        assert run_cli(base_args + ["--out", str(first)]) == 0
-        assert run_cli(base_args + ["--seed", "17", "--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
-
-
     @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
     def test_manifest_records_redraws(self, pipeline_files):
         # y = 1{x > 0} with the two middle labels swapped: a resample that
@@ -253,21 +239,14 @@ class TestBootstrapCommand:
 
 
 class TestSimulateCommand:
-    def _args(self, report, threads, per_rep=None):
-        args = [
-            "simulate", "--model", "I", "--pop-size", "4000",
-            "--n-a", "80", "--n-b", "80", "--reps", "6", "--boot-l", "10",
-            "--seed", "3", "--threads", str(threads),
-            "--report", str(report),
-        ]
-        if per_rep:
-            args += ["--per-rep", str(per_rep)]
-        return args
+    _ARGS = ["simulate", "--model", "I", "--pop-size", "4000", "--n-a", "80",
+             "--n-b", "80", "--reps", "6", "--boot-l", "10", "--seed", "3"]
 
     def test_report_written(self, tmp_path):
         report = tmp_path / "sim.json"
         per_rep = tmp_path / "per_rep.csv"
-        assert run_cli(self._args(report, 1, per_rep)) == 0
+        assert run_cli([*self._ARGS, "--report", str(report),
+                        "--per-rep", str(per_rep)]) == 0
         doc = json.loads(report.read_text())
         assert doc["config"]["seed"] == 3
         assert doc["failed_reps"] == 0
@@ -278,14 +257,22 @@ class TestSimulateCommand:
         assert len(rows) == 7
 
     def test_threads_byte_identical(self, tmp_path):
-        # 8 asks for more workers than there are reps' ranges or CPUs
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        assert run_cli(self._args(serial, 1, tmp_path / "serial.csv")) == 0
-        assert run_cli(self._args(parallel, 8, tmp_path / "parallel.csv")) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-        assert (tmp_path / "serial.csv").read_bytes() == (
-            tmp_path / "parallel.csv").read_bytes()
+        # simulate runs a worker per usable CPU: pinned to one CPU it runs
+        # serially, so its report and per-rep CSV are those of one process
+        env = {**os.environ,
+               "PYTHONPATH": str(pathlib.Path(massimpute.__file__).parent.parent)}
+        cpu = min(os.sched_getaffinity(0))
+        files = {}
+        for name, pin in (("serial", True), ("parallel", False)):
+            subprocess.run(
+                [sys.executable, "-m", "massimpute.cli", *self._ARGS,
+                 "--report", f"{name}.json", "--per-rep", f"{name}.csv"],
+                cwd=tmp_path, env=env, check=True,
+                preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pin else None,
+            )
+            files[name] = [(tmp_path / f"{name}.{ext}").read_bytes()
+                           for ext in ("json", "csv")]
+        assert files["serial"] == files["parallel"]
 
 
 def test_version_flag(capsys):
@@ -310,14 +297,6 @@ def test_config_file_supplies_defaults(tmp_path):
     np.testing.assert_allclose(doc["beta_hat"], [1.0, 2.0], atol=1e-10)
 
 
-def _exit_code(argv):
-    """The exit code of ``run_cli``, returned or raised by argparse."""
-    try:
-        return run_cli(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("command, config", [
     ("fit", {"family": "probit"}),
     ("bootstrap", {"L": 5.5}),
@@ -331,7 +310,7 @@ def _exit_code(argv):
     ("fit", {"family": {"name": "linear"}}),
     ("fit", {"model": "I"}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
-def test_bad_config_value_exits_2(command, config, pipeline_files):
+def test_bad_config_value_exits_2(command, config, pipeline_files, capsys):
     files, d = pipeline_files, pipeline_files["dir"]
     fit = ["--train", files["train"], "--response", "y"]
     if "covariates" not in config:
@@ -355,8 +334,35 @@ def test_bad_config_value_exits_2(command, config, pipeline_files):
     cfg = d / "cfg.json"
     cfg.write_text(json.dumps(config))
     before = sorted(d.iterdir())
-    assert _exit_code(["--config", str(cfg), *argv]) == 2
+    capsys.readouterr()
+    assert run_cli(["--config", str(cfg), *argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
     assert sorted(d.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--train", "b.csv", "--response", "y", "--out", "m.json"],
+    ["fit", "--train", "b.csv", "--response", "y", "--covariates", "x",
+     "--family", "probit", "--out", "m.json"],
+    ["simulate", "--model", "I", "--pop-size", "2000", "--n-a", "50", "--n-b", "50",
+     "--boot-l", "0", "--reps", "2.5", "--report", "s.json"],
+    ["fit", "--train", "b.csv", "--response", "y", "--covariates", "x",
+     "--bogus", "--out", "m.json"],
+    ["estimate", "--imp", "i.csv", "--report", "r.json"],
+    ["bogus", "--out", "m.json"],
+    ["--config"],
+], ids=["missing flag", "bad family", "reps 2.5", "unknown flag",
+        "abbreviated flag", "unknown subcommand", "config without value"])
+def test_parser_errors_exit_2_with_json(argv, tmp_path, monkeypatch, capsys):
+    # every argparse rejection is a usage error, not argparse's usage text
+    write_csv(tmp_path / "b.csv", ["x", "y"], [[0.0, 1.0], [1.0, 3.0], [2.0, 4.0]])
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "UsageError"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _config_case(case, train, sample_a, out):
@@ -376,11 +382,14 @@ def _config_case(case, train, sample_a, out):
                 ["fit", *fit, "--categorical", "g=r"])
     if case == "typed seed wins":
         return {"seed": 5}, boot, boot
+    if case == "empty list":
+        return {"categorical": []}, ["fit", *fit], ["fit", *fit]
     raise AssertionError(case)
 
 
 @pytest.mark.parametrize("case", [
     "required flags", "no_intercept", "categorical list", "typed seed wins",
+    "empty list",
 ])
 def test_config_keys_parse_as_flags(case, tmp_path, rng):
     train, sample_a = _level_files(tmp_path, rng, ["r", "a", "b"], ["r", "a", "b"])
@@ -518,8 +527,6 @@ def _pipeline_outputs(directory: pathlib.Path, blas_threads: int) -> dict:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
            "OMP_NUM_THREADS": str(blas_threads),
            "PYTHONPATH": str(pathlib.Path(massimpute.__file__).parent.parent)}
-    for var in ("MASSIMPUTE_SEED", "MASSIMPUTE_THREADS"):
-        env.pop(var, None)
     directory.mkdir()
     for family, response in (("linear", "y"), ("logistic", "z")):
         fit = ["--train", "../b.csv", "--response", response,
@@ -562,7 +569,6 @@ def _release_files(directory: pathlib.Path, argv, one_cpu: bool, blas_threads: i
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
            "OMP_NUM_THREADS": str(blas_threads),
            "PYTHONPATH": str(pathlib.Path(massimpute.__file__).parent.parent)}
-    env.pop("MASSIMPUTE_SEED", None)
     cpu = min(os.sched_getaffinity(0))
     directory.mkdir()
     subprocess.run([sys.executable, "-m", "massimpute.cli", "bootstrap", *argv,
@@ -610,7 +616,7 @@ def test_killed_worker_exits_3_with_json_error(tmp_path, capsys, monkeypatch):
     # the forked workers inherit the patched rep
     monkeypatch.setattr(massimpute.simulation, "_run_one_rep", killed)
     code = run_cli(["simulate", "--model", "I", "--pop-size", "4000", "--n-a", "80",
-                    "--n-b", "80", "--reps", "4", "--boot-l", "0", "--threads", "2",
+                    "--n-b", "80", "--reps", "4", "--boot-l", "0",
                     "--report", str(tmp_path / "sim.json")])
     assert code == 3
     err = json.loads(capsys.readouterr().err)
@@ -661,7 +667,7 @@ def _edit_manifest(csv_path, edit):
     path.write_text(edit(path.read_text()))
 
 
-def _bad_input_case(case, files, monkeypatch):
+def _bad_input_case(case, files):
     """Arguments for one malformed-input case."""
     d = files["dir"]
     boot = [
@@ -758,37 +764,31 @@ def _bad_input_case(case, files, monkeypatch):
             fh.write("1.0,2.0,3.0\n")
         return boot
     if case == "non-integer seed":
-        monkeypatch.setenv("MASSIMPUTE_SEED", "seven")
-        return boot
-    simulate = ["simulate", "--model", "I", "--reps", "1",
+        return [*boot, "--seed", "seven"]
+    # argparse checks each flag as it reads it, so the base holds valid ones
+    simulate = ["simulate", "--model", "I", "--reps", "2",
                 "--report", str(d / "s.json")]
     if case == "negative seed":
         return [*boot, "--seed", "-1"]
     if case == "negative simulate seed":
         return [*simulate, "--seed", "-1"]
-    if case == "negative seed in environment":
-        monkeypatch.setenv("MASSIMPUTE_SEED", "-3")
-        return simulate
     if case == "negative boot-l":
         return [*simulate, "--boot-l", "-4"]
-    if case == "non-integer threads":
-        monkeypatch.setenv("MASSIMPUTE_THREADS", "2.5")
-        return simulate
     if case == "threads 0":
-        return [*simulate, "--reps", "2", "--threads", "0"]
-    if case == "threads in environment -3":
-        monkeypatch.setenv("MASSIMPUTE_THREADS", "-3")
-        return [*simulate, "--reps", "2"]
+        # simulate has no --threads flag: it runs a worker per usable CPU
+        return [*simulate, "--threads", "0"]
     if case == "stratum exhausted in a worker":
         # raised in a worker process; its error must reach the parent whole
         return [*simulate, "--reps", "4", "--pop-size", "1000", "--n-a", "50",
-                "--n-b", "900", "--boot-l", "0", "--threads", "2"]
+                "--n-b", "900", "--boot-l", "0"]
     if case == "reps 1":
-        return simulate
+        return [*simulate, "--reps", "1"]
     if case.startswith(("n-a", "n-b", "pop-size")):
-        # exit 2, not SimConfig's ValidationError (exit 3)
         flag, value = case.split()
-        return [*simulate, "--reps", "2", f"--{flag}", value]
+        return [*simulate, f"--{flag}", value]
+    if case == "samples larger than the population":
+        # exit 2, not SimConfig's ValidationError (exit 3)
+        return [*simulate, "--n-a", "3", "--n-b", "3", "--pop-size", "5"]
     if case == "L 0":
         # sample B is unreadable: --L must be rejected before any file is read
         (d / "b.csv").write_text("")
@@ -832,16 +832,14 @@ def _bad_input_case(case, files, monkeypatch):
     ("non-integer seed", 2, "UsageError"),
     ("negative seed", 2, "UsageError"),
     ("negative simulate seed", 2, "UsageError"),
-    ("negative seed in environment", 2, "UsageError"),
     ("negative boot-l", 2, "UsageError"),
-    ("non-integer threads", 2, "UsageError"),
     ("threads 0", 2, "UsageError"),
-    ("threads in environment -3", 2, "UsageError"),
     ("reps 1", 2, "UsageError"),
     ("n-a 0", 2, "UsageError"),
     ("n-a -5", 2, "UsageError"),
     ("n-b 0", 2, "UsageError"),
     ("pop-size 0", 2, "UsageError"),
+    ("samples larger than the population", 2, "UsageError"),
     ("L 0", 2, "UsageError"),
     ("malformed config", 2, "UsageError"),
     ("non-numeric pop size", 2, "UsageError"),
@@ -867,9 +865,9 @@ def _bad_input_case(case, files, monkeypatch):
     ("model schema covariates a string", 3, "ValidationError"),
 ])
 def test_bad_input_exits_with_json_error(
-    case, code, error, pipeline_files, monkeypatch, capsys
+    case, code, error, pipeline_files, capsys
 ):
-    argv = _bad_input_case(case, pipeline_files, monkeypatch)
+    argv = _bad_input_case(case, pipeline_files)
     assert run_cli(argv) == code
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
@@ -894,6 +892,8 @@ def test_bad_input_exits_with_json_error(
         assert "--train" in err["message"]
     if case == "srs without numeric pop size":
         assert "--pop-size" in err["message"]
+    if case == "samples larger than the population":
+        assert "exceeds the population size" in err["message"]
     assert not (pipeline_files["dir"] / "s.json").exists()
 
 
