@@ -15,9 +15,20 @@ is identical whether replicates are computed serially or in parallel
 the first columns do not change when L grows.  Building a ``SeedSequence``
 and a generator per stream cost more than the draws, so :mod:`.seeding`
 computes every replicate's PCG64 start state in one vectorised pass of the
-same hash and one generator is re-seeded from each.  NumPy's stream-
-compatibility policy fixes that hash and PCG64's seeding, so the streams,
-and every output, are those of the per-stream construction bit for bit.
+same hash.  A resample's counts are ``bincount(integers(0, n, size))`` on its
+stream.  When a group of at least two resamples fits in about 2^15 draws
+(n up to 2^14), each replicate sets one PCG64 to its state and takes its raw
+64-bit words, and the group applies ``integers``' own bounded-integer rule
+(Lemire's) to all of them at once, with one flat ``bincount``.  A value the
+rule rejects moves every later value of its row, so the rare row that holds
+one (under 0.1% of rows at n = 2,000, a few percent near 2^14) is replayed
+on its own from its raw words, each rejected value replaced by the next.
+Larger resamples, whose per-call cost is under 1% of the draw, call
+``integers`` one replicate at a time; at n = 200,000 nearly every row holds
+a rejected value, so the group rule would draw most rows twice.  NumPy's
+stream-compatibility policy fixes the hash, PCG64's seeding and output and
+the bounded-integer rule, so the streams, and every output, are those of the
+per-stream construction bit for bit.
 
 Replicate weights are every replicate's resample counts times the rescaled
 base weights, scaled in one array operation.  Linear refits go in blocks of
@@ -68,6 +79,10 @@ _REFIT_RETRY_CAP = 10
 # replicates are refitted in blocks of about this many resample counts, so a
 # block's count matrix stays near 8 MiB whatever the size of sample B
 _BLOCK_CELLS = 2**20
+# replicates are drawn in groups of about this many draws (a few 256 KiB
+# temporaries); a resample too large for a group of two is drawn on its own
+_DRAW_CELLS = 2**15
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,9 @@ def _streams(seed: int, ks, tag: int, attempt: int = 0):
 
     It is one generator re-seeded for every k, so take k's draws before
     asking for the next.  Each call makes its own generator, so concurrent
-    callers share no state.
+    callers share no state.  :func:`_draw_counts` takes raw words from its
+    bit generator in small groups, and calls its ``integers`` for large
+    resamples.
     """
     bit_generator = np.random.PCG64(0)
     gen = np.random.Generator(bit_generator)
@@ -98,6 +115,73 @@ def _streams(seed: int, ks, tag: int, attempt: int = 0):
             "uinteger": 0,
         }
         yield gen
+
+
+# integers(0, n) takes 32-bit values u, the low and then the high half of
+# each 64-bit PCG64 word, and rejects m = u * n when m mod 2^32 is below
+# (2^32 - n) mod n, taking the next value instead, else yields m >> 32
+# (Lemire's rule).  m is exact in int64 for n < 2^31.  The rule keeps to
+# int64 arithmetic: a uint32 or uint64 loop, or an int64 comparison, pages in
+# 64-128 KiB of numpy code that nothing else in a run touches, so x < t is
+# written (x - t) >> 63, which is -1 where it holds and 0 elsewhere
+def _products(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (... x 2w) with m = u * n for the 32-bit values u of the
+    raw words (... x w, viewed as int64), in the order integers takes them."""
+    np.bitwise_and(words, _MASK32, out=out[..., 0::2])
+    np.right_shift(words, 32, out=out[..., 1::2])
+    out[..., 1::2] &= _MASK32  # the int64 shift copies the sign bit
+    out *= n
+    return out
+
+
+def _replay(bit_generator, n: int, size: int) -> np.ndarray:
+    """``integers(0, n, size)`` from a PCG64 at the start of its stream, from
+    its raw words: each rejected value is replaced by the next one."""
+    threshold = (2**32 - n) % n
+    kept, need = [], size
+    while need > 0:
+        words = bit_generator.random_raw(-(-need // 2)).view(np.int64)
+        m = _products(words, n, np.empty(2 * len(words), np.int64))
+        rejected = ((m & _MASK32) - threshold) >> 63
+        kept.append(m[np.flatnonzero(rejected + 1)] >> 32)
+        need -= len(kept[-1])
+    return np.concatenate(kept)[:size]
+
+
+def _draw_counts(seed: int, ks, tag: int, attempt: int, n: int, size: int,
+                 out: np.ndarray) -> None:
+    """Set row j of ``out`` to ``bincount(integers(0, n, size), minlength=n)``
+    on the stream of ``ks[j]`` (see :func:`_streams`), bit for bit."""
+    group = min(_DRAW_CELLS // size, len(ks))
+    streams = _streams(seed, ks, tag, attempt)
+    if group < 2:
+        for row, gen in zip(out, streams):
+            row[:] = np.bincount(gen.integers(0, n, size=size), minlength=n)
+        return
+    threshold = (2**32 - n) % n
+    words = -(-size // 2)
+    raw = np.empty((group, words), np.uint64)
+    m = np.empty((group, 2 * words), np.int64)
+    draws = np.empty((group, size), np.int64)
+    offsets = np.arange(0, group * n, n)[:, None]
+    for start in range(0, len(ks), group):
+        rows = min(group, len(ks) - start)
+        for j, gen in zip(range(rows), streams):
+            raw[j] = gen.bit_generator.random_raw(words)
+        mr, d = _products(raw[:rows].view(np.int64), n, m[:rows]), draws[:rows]
+        short = ()
+        if threshold:
+            np.bitwise_and(mr[:, :size], _MASK32, out=d)
+            short = np.flatnonzero((d.min(axis=1) - threshold) >> 63)
+        np.right_shift(mr[:, :size], 32, out=d)
+        # a rejected value shifts the rest of its row, so the rare row that
+        # holds one is replayed on its own
+        for j in short:
+            gen = next(_streams(seed, ks[start + j : start + j + 1], tag, attempt))
+            d[j] = _replay(gen.bit_generator, n, size)
+        d += offsets[:rows]
+        out[start : start + rows] = np.bincount(
+            d.ravel(), minlength=rows * n).reshape(rows, n)
 
 
 def replicate_weights(
@@ -118,8 +202,7 @@ def replicate_weights(
     if n < 2:
         raise UnsupportedDesign("rescaling bootstrap needs at least 2 units")
     out = np.empty((n, L))
-    for k, gen in enumerate(_streams(seed, np.arange(L), 0)):
-        out[:, k] = np.bincount(gen.integers(0, n, size=n - 1), minlength=n)
+    _draw_counts(seed, np.arange(L), 0, 0, n, n - 1, out.T)
     # the same two roundings per cell as w * (n / (n - 1)) * count
     out *= (w * (n / (n - 1)))[:, None]
     return out
@@ -185,8 +268,7 @@ def bootstrap_refit(
             pending = np.arange(start, min(start + block, reps.stop))
             for attempt in range(_REFIT_RETRY_CAP + 1):
                 counts = buffer[: len(pending)]
-                for j, gen in enumerate(_streams(seed, pending, 1, attempt)):
-                    counts[j] = np.bincount(gen.integers(0, n, size=n), minlength=n)
+                _draw_counts(seed, pending, 1, attempt, n, n, counts)
                 fitted, ok = solve(counts)
                 betas[pending[ok] - reps.start] = fitted[ok]
                 pending = pending[~ok]

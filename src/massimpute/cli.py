@@ -117,9 +117,14 @@ def _splice_config(argv) -> tuple[list, dict]:
     file's document.  ``true`` is a bare flag, ``false`` and ``null`` nothing,
     a list one flag per item, any other value ``--key=value``."""
     pre = _Parser(prog="massimpute", add_help=False)
-    pre.add_argument("--config")
+    _add_top_level_flags(pre)
     pre.add_argument("rest", nargs=argparse.REMAINDER)
-    known, _ = pre.parse_known_args(argv)
+    known, unknown = pre.parse_known_args(argv)
+    # the main parser would read the value of an unknown flag before the
+    # subcommand (--conf cfg.json) as the subcommand; its -h is argparse's own
+    unknown = [arg for arg in unknown if arg not in ("-h", "--help")]
+    if unknown:
+        pre.error(f"unrecognized arguments: {' '.join(unknown)}")
     if not known.config:
         return argv, {}
     doc = read_json(known.config, UsageError)
@@ -149,13 +154,19 @@ def _check_config_lists(doc: dict, args) -> None:
             raise UsageError(f"--config key {key!r} takes one value, not a list")
 
 
+def _add_top_level_flags(parser) -> None:
+    """The flags taken before the subcommand, besides -h: the main parser's,
+    and those the --config pre-parser lets pass."""
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--config", help="JSON file of flag values; typed flags win")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="massimpute",
         description="Survey data integration by mass imputation.",
     )
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="JSON file of flag values; typed flags win")
+    _add_top_level_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_fit_flags(p):

@@ -20,7 +20,15 @@ from massimpute import (
     srs_design,
     write_augmented_dataset,
 )
-from massimpute.bootstrap import _REFIT_RETRY_CAP, _streams, estimate_from_augmented
+from massimpute import bootstrap
+from massimpute.bootstrap import (
+    _DRAW_CELLS,
+    _REFIT_RETRY_CAP,
+    _draw_counts,
+    _replay,
+    _streams,
+    estimate_from_augmented,
+)
 from massimpute.errors import (
     ColumnMismatch,
     NumericalError,
@@ -68,6 +76,52 @@ class TestStreams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
             next(_streams(-1, np.arange(3), 0))
+
+
+class TestDrawCounts:
+    """Resample counts drawn a group at a time against numpy's own
+    ``integers`` and ``bincount`` on each stream."""
+
+    @staticmethod
+    def _assert_v1(seed, ks, tag, attempt, n, size):
+        out = np.empty((len(ks), n))
+        _draw_counts(seed, ks, tag, attempt, n, size, out)
+        for k, row in zip(ks, out):
+            draws = _v1_stream(seed, k, tag, attempt).integers(0, n, size=size)
+            assert np.array_equal(row, np.bincount(draws, minlength=n))
+
+    # groups of _DRAW_CELLS // size replicates: thousands at n = 2, two at
+    # n = 2^14, and at n = 2^14 + 1 (size n) or 200,000 one at a time
+    @pytest.mark.parametrize("n", [2, 7, 499, 500, 2000, 2**14, 2**14 + 1, 200_000])
+    @pytest.mark.parametrize("less", [0, 1])
+    @pytest.mark.parametrize("attempt", [0, 3])
+    def test_equals_numpy_integers(self, n, less, attempt):
+        # up to three whole groups and a part group
+        L = min(150, 3 * (_DRAW_CELLS // n) + 1)
+        self._assert_v1(17, np.arange(40, 40 + max(L, 3)), 1, attempt, n, n - less)
+
+    def test_rejected_values_replayed(self, monkeypatch):
+        # at n = 12,289 about 3% of rows hold a value Lemire's rule rejects;
+        # each such row is replayed on its own stream
+        n, ks = 12_289, np.arange(300)
+        streams, redraws = _streams, []
+
+        def counted(seed, ks, tag, attempt):
+            redraws.append(len(ks))
+            return streams(seed, ks, tag, attempt)
+
+        monkeypatch.setattr(bootstrap, "_streams", counted)
+        self._assert_v1(1, ks, 0, 0, n, n - 1)
+        assert redraws[0] == len(ks)
+        assert len(redraws) > 1 and redraws[1:] == [1] * (len(redraws) - 1)
+
+    @pytest.mark.parametrize("n", [12_289, 2**30 + 1])
+    def test_replay_takes_the_next_values(self, n):
+        # at n = 2^30 + 1 about a quarter of the values are rejected, so the
+        # replay draws several further runs of words
+        gen = next(_streams(5, np.arange(1), 1, 0))
+        expected = _v1_stream(5, 0, 1, 0).integers(0, n, size=999)
+        assert np.array_equal(_replay(gen.bit_generator, n, 999), expected)
 
 
 class TestReplicateWeights:

@@ -340,20 +340,33 @@ def test_bad_config_value_exits_2(command, config, pipeline_files, capsys):
     assert sorted(d.iterdir()) == before
 
 
-@pytest.mark.parametrize("argv", [
-    ["fit", "--train", "b.csv", "--response", "y", "--out", "m.json"],
-    ["fit", "--train", "b.csv", "--response", "y", "--covariates", "x",
-     "--family", "probit", "--out", "m.json"],
-    ["simulate", "--model", "I", "--pop-size", "2000", "--n-a", "50", "--n-b", "50",
-     "--boot-l", "0", "--reps", "2.5", "--report", "s.json"],
-    ["fit", "--train", "b.csv", "--response", "y", "--covariates", "x",
-     "--bogus", "--out", "m.json"],
-    ["estimate", "--imp", "i.csv", "--report", "r.json"],
-    ["bogus", "--out", "m.json"],
-    ["--config"],
-], ids=["missing flag", "bad family", "reps 2.5", "unknown flag",
-        "abbreviated flag", "unknown subcommand", "config without value"])
-def test_parser_errors_exit_2_with_json(argv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["fit", "--train", "b.csv", "--response", "y", "--out", "m.json"],
+                 "required: --covariates", id="missing flag"),
+    pytest.param(["fit", "--train", "b.csv", "--response", "y", "--covariates", "x",
+                  "--family", "probit", "--out", "m.json"],
+                 "invalid choice: 'probit'", id="bad family"),
+    pytest.param(["simulate", "--model", "I", "--pop-size", "2000", "--n-a", "50",
+                  "--n-b", "50", "--boot-l", "0", "--reps", "2.5",
+                  "--report", "s.json"],
+                 "invalid integer value: '2.5'", id="reps 2.5"),
+    pytest.param(["fit", "--train", "b.csv", "--response", "y", "--covariates", "x",
+                  "--bogus", "--out", "m.json"],
+                 "unrecognized arguments: --bogus", id="unknown flag"),
+    pytest.param(["estimate", "--imp", "i.csv", "--report", "r.json"],
+                 "required: --imputed", id="abbreviated flag"),
+    pytest.param(["bogus", "--out", "m.json"], "invalid choice: 'bogus'",
+                 id="unknown subcommand"),
+    pytest.param(["--config"], "--config: expected one argument",
+                 id="config without value"),
+    # the pre-parser for --config must not leave cfg.json to be read as the
+    # subcommand
+    pytest.param(["--conf", "cfg.json", "fit", "--train", "b.csv", "--response", "y",
+                  "--covariates", "x", "--out", "m.json"],
+                 "unrecognized arguments: --conf", id="abbreviated config"),
+])
+def test_parser_errors_exit_2_with_json(argv, message, tmp_path, monkeypatch,
+                                        capsys):
     # every argparse rejection is a usage error, not argparse's usage text
     write_csv(tmp_path / "b.csv", ["x", "y"], [[0.0, 1.0], [1.0, 3.0], [2.0, 4.0]])
     monkeypatch.chdir(tmp_path)
@@ -361,7 +374,9 @@ def test_parser_errors_exit_2_with_json(argv, tmp_path, monkeypatch, capsys):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "UsageError"
+    error = json.loads(captured.err)
+    assert error["error"] == "UsageError"
+    assert message in error["message"]
     assert sorted(tmp_path.iterdir()) == before
 
 
