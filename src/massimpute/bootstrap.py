@@ -33,8 +33,13 @@ per-stream construction bit for bit.
 Replicate weights are every replicate's resample counts times the rescaled
 base weights, scaled in one array operation.  Linear refits go in blocks of
 about 2^20 resample counts to :func:`~massimpute.mean_model.least_squares`,
-the full-sample fit's normal equations, whose sums do not depend on the
-block's shape, so earlier columns do not move when L grows.
+the full-sample fit's normal equations.  Their sums do not depend on the
+block's shape, so earlier columns do not move when L grows and no worker
+count changes a bit: einsum sums each row of a count matrix of two or more
+rows alike, but a lone row of more than 8,192 units (its buffer) in another
+order, and BLAS maps the coefficients of one row back by another kernel, so
+a block or redraw of one replicate is fitted beside a copy of itself and no
+block is summed alone.
 
 Logistic and log-linear refits run one replicate at a time, each on the
 distinct rows of its resample (about 63% of n_B, gathered in row order from
@@ -208,6 +213,21 @@ def replicate_weights(
     return out
 
 
+def _least_squares_fits(design: DesignMatrix, y: np.ndarray):
+    """:func:`least_squares`' ``solve(counts)`` with a lone row fitted beside
+    a copy of itself, since rows of two or more agree bit for bit (einsum and
+    BLAS take one row of many units in another order; the module docstring)."""
+    solve = least_squares(design, y)
+
+    def paired(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(counts) > 1:
+            return solve(counts)
+        betas, ok = solve(np.repeat(counts, 2, axis=0))
+        return betas[:1], ok[:1]
+
+    return paired
+
+
 def _quasi_score_fits(family: ModelFamily, X: np.ndarray, y: np.ndarray):
     """Newton refits in the ``solve(counts)`` shape of :func:`least_squares`,
     each row of counts fitted on its distinct units weighted by their counts."""
@@ -253,7 +273,7 @@ def bootstrap_refit(
     X = design_b.values
     y = sample_b.responses
     n, p = X.shape
-    solve = (least_squares(design_b, y) if family is ModelFamily.LINEAR
+    solve = (_least_squares_fits(design_b, y) if family is ModelFamily.LINEAR
              else _quasi_score_fits(family, X, y))
     block = max(1, _BLOCK_CELLS // n)
 

@@ -31,14 +31,29 @@ from .errors import (
 )
 
 
+# rows are written in blocks of about this many cells, so that a table is
+# never held as Python floats: each costs about 31 bytes a cell
+_WRITE_CELLS = 2**14
+
+
 def write_table(path, header, columns) -> None:
-    """Write equal-length numeric columns under a header row."""
+    """Write equal-length numeric columns under a header row; columns of
+    unequal length, or a header of another width, raise
+    :class:`ValidationError` before the file is opened."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if len(header) != len(columns) or any(len(c) != n for c in columns):
+        raise ValidationError(
+            f"{path}: a header of {len(header)} names for {len(columns)} "
+            f"columns of lengths {sorted({len(c) for c in columns})}")
+    rows = max(1, _WRITE_CELLS // max(1, len(columns)))
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        # repr() of a Python float is its shortest round-trip form, the str()
-        # csv.writer writes, and no float needs quoting
-        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, n, rows):
+            # repr() of a Python float is its shortest round-trip form, the
+            # str() csv.writer writes, and no float needs quoting
+            block = zip(*(c[start : start + rows].tolist() for c in columns))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def read_columns(path, names, text=()) -> dict[str, np.ndarray]:

@@ -20,7 +20,7 @@ from massimpute import (
     srs_design,
     write_augmented_dataset,
 )
-from massimpute import bootstrap
+from massimpute import bootstrap, workers
 from massimpute.bootstrap import (
     _DRAW_CELLS,
     _REFIT_RETRY_CAP,
@@ -403,6 +403,34 @@ class TestPrefixStability:
                                                  seed=7)
         assert 0 < retries_8 < retries_100
         assert np.array_equal(betas_100[:8], betas_8)
+
+
+class TestLoneReplicate:
+    """A block or worker range of one replicate is fitted as one of several:
+    einsum sums a lone row of more than 8,192 units in another order."""
+
+    n = 9_000
+
+    @pytest.fixture
+    def b(self, rng):
+        x = rng.normal(2, 1, size=self.n)
+        return _linear_b(x, 1 + 2 * x + rng.normal(size=self.n))
+
+    @pytest.mark.parametrize("L", [3, bootstrap._BLOCK_CELLS // n + 1])
+    def test_any_worker_count(self, b, L, monkeypatch):
+        # two forked workers on any host: one range, or the last block of
+        # the serial run, holds a single replicate
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        sample, design = b
+        one, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, L, 5, workers=1)
+        two, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, L, 5, workers=2)
+        assert np.array_equal(one, two)
+
+    def test_prefix(self, b):
+        sample, design = b
+        one, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, L=1, seed=5)
+        twelve, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, L=12, seed=5)
+        assert np.array_equal(twelve[:1], one)
 
 
 class TestBootstrapRefit:

@@ -607,13 +607,20 @@ def test_bootstrap_workers_write_identical_files(tmp_path, rng):
     y_sep = (x_sep > 0).astype(float)
     y_sep[9], y_sep[10] = y_sep[10], y_sep[9]
     _write_b(tmp_path / "sep.csv", x_sep, y_sep)
-    common = ["--sample-a", "../a.csv", "--weight", "w", "--L", "40", "--seed", "11"]
+    # above 8,192 units of B, with L = 3 one worker's range holds a single
+    # replicate, which einsum would sum in another order than a row of two
+    x9 = rng.normal(2, 1, 9_000)
+    _write_b(tmp_path / "b9.csv", x9, 1 + 2 * x9 + rng.normal(size=9_000))
+    common = ["--sample-a", "../a.csv", "--weight", "w", "--seed", "11"]
     for name, fit in (
-        ("linear", ["--train", "../b.csv", "--response", "y", "--covariates", "x,x2"]),
+        ("linear", ["--train", "../b.csv", "--response", "y", "--covariates", "x,x2",
+                    "--L", "40"]),
         ("logistic", ["--train", "../b.csv", "--response", "z", "--covariates", "x,x2",
-                      "--family", "logistic"]),
+                      "--family", "logistic", "--L", "40"]),
         ("separated", ["--train", "../sep.csv", "--response", "y", "--covariates", "x",
-                       "--family", "logistic"]),
+                       "--family", "logistic", "--L", "40"]),
+        ("lone", ["--train", "../b9.csv", "--response", "y", "--covariates", "x",
+                  "--L", "3"]),
     ):
         one = _release_files(tmp_path / f"{name}1", [*fit, *common], True, 1)
         # a worker per CPU, forked after OpenBLAS has started its threads

@@ -4,6 +4,7 @@ import csv
 import io
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,3 +210,59 @@ def test_write_table_bytes_with_repeated_values(tmp_path, rng):
     rows = zip(*([float(v) for v in c] for c in columns))
     csv.writer(reference, lineterminator="\n").writerows([header, *rows])
     assert (tmp_path / "t.csv").read_bytes() == reference.getvalue().encode()
+
+
+def _one_shot(path, header, columns):
+    """Reference: the writer that converted every column to Python floats
+    before writing the first row."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("width", [1, 400])
+@pytest.mark.parametrize("rows", [lambda block: 0, lambda block: 1,
+                                  lambda block: block - 1, lambda block: block,
+                                  lambda block: block + 1],
+                         ids=["0", "1", "block-1", "block", "block+1"])
+def test_write_table_equals_one_shot_writer(tmp_path, rng, width, rows):
+    n = rows(table._WRITE_CELLS // width)
+    special = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16,
+                        -1.2345678901234567e16, 9007199254740993.0, 0.1])
+    # a row-major n x width block read by strided column views, as the
+    # release file reads replicate_weights[:, k]
+    data = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-3, 17, (n, width))
+    data.ravel()[: min(n * width, len(special))] = special[: n * width]
+    header = [f"c{k}" for k in range(width)]
+    columns = [data[:, k] for k in range(width)]
+    blocks, one_shot = tmp_path / "blocks.csv", tmp_path / "one_shot.csv"
+    write_table(blocks, header, columns)
+    _one_shot(one_shot, header, columns)
+    assert blocks.read_bytes() == one_shot.read_bytes()
+
+
+def test_write_table_memory_is_one_block(tmp_path, rng):
+    # 4,000 x 400 cells as Python floats would take about 49 MiB
+    data = rng.normal(size=(4_000, 400))
+    columns = [data[:, k] for k in range(400)]
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "t.csv", [f"c{k}" for k in range(400)], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [[1.0, 2.0], [3.0]]),
+    (["a", "b"], [[1.0], [2.0, 3.0]]),
+    (["a"], [[1.0], [2.0]]),
+    (["a", "b", "c"], [[1.0], [2.0]]),
+    (["a"], []),
+])
+def test_write_table_shape_errors(tmp_path, header, columns):
+    with pytest.raises(ValidationError, match="a header of"):
+        write_table(tmp_path / "t.csv", header, columns)
+    assert not (tmp_path / "t.csv").exists()
