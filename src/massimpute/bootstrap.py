@@ -33,13 +33,12 @@ per-stream construction bit for bit.
 Replicate weights are every replicate's resample counts times the rescaled
 base weights, scaled in one array operation.  Linear refits go in blocks of
 about 2^20 resample counts to :func:`~massimpute.mean_model.least_squares`,
-the full-sample fit's normal equations.  Their sums do not depend on the
-block's shape, so earlier columns do not move when L grows and no worker
-count changes a bit: einsum sums each row of a count matrix of two or more
-rows alike, but a lone row of more than 8,192 units (its buffer) in another
-order, and BLAS maps the coefficients of one row back by another kernel, so
-a block or redraw of one replicate is fitted beside a copy of itself and no
-block is summed alone.
+the full-sample fit's normal equations.  Like every sum over units, their
+sums run over unit blocks of at most 8,192 units (the block rule of
+:mod:`.mean_model`), so einsum sums each row of a count matrix alike however
+many rows share it, and a lone row's coefficients are mapped back as a
+row of several: earlier columns do not move when L grows, and no worker
+count changes a bit.
 
 Logistic and log-linear refits run one replicate at a time, each on the
 distinct rows of its resample (about 63% of n_B, gathered in row order from
@@ -67,7 +66,6 @@ from .errors import (
     UnsupportedDesign,
     ValidationError,
 )
-from .estimators import ht_mean
 from .mean_model import (
     FittedModel,
     ModelFamily,
@@ -213,21 +211,6 @@ def replicate_weights(
     return out
 
 
-def _least_squares_fits(design: DesignMatrix, y: np.ndarray):
-    """:func:`least_squares`' ``solve(counts)`` with a lone row fitted beside
-    a copy of itself, since rows of two or more agree bit for bit (einsum and
-    BLAS take one row of many units in another order; the module docstring)."""
-    solve = least_squares(design, y)
-
-    def paired(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if len(counts) > 1:
-            return solve(counts)
-        betas, ok = solve(np.repeat(counts, 2, axis=0))
-        return betas[:1], ok[:1]
-
-    return paired
-
-
 def _quasi_score_fits(family: ModelFamily, X: np.ndarray, y: np.ndarray):
     """Newton refits in the ``solve(counts)`` shape of :func:`least_squares`,
     each row of counts fitted on its distinct units weighted by their counts."""
@@ -273,7 +256,7 @@ def bootstrap_refit(
     X = design_b.values
     y = sample_b.responses
     n, p = X.shape
-    solve = (_least_squares_fits(design_b, y) if family is ModelFamily.LINEAR
+    solve = (least_squares(design_b, y) if family is ModelFamily.LINEAR
              else _quasi_score_fits(family, X, y))
     block = max(1, _BLOCK_CELLS // n)
 
@@ -494,10 +477,3 @@ def read_augmented_dataset(path, with_sample: bool = False) -> AugmentedDataset:
         sample_a=sample_a,
     )
 
-
-def estimate_from_augmented(dataset: AugmentedDataset) -> tuple[float, float]:
-    """Point estimate and bootstrap variance recomputed from the file alone,
-    over :meth:`AugmentedDataset.population_size_used`."""
-    N = dataset.population_size_used()
-    theta = ht_mean(dataset.yhat, dataset.weights, N)
-    return theta, bootstrap_variance(theta, replicate_estimates(dataset, N))

@@ -7,6 +7,13 @@ in one step by :func:`least_squares`, which the bootstrap's refits share; the
 others use Newton iteration with an analytic Jacobian and step-halving on the
 score norm.  Sums over units are ``np.einsum`` calls without ``optimize`` on
 the design's p x n transpose, never BLAS, so no fit depends on its threads.
+
+Every sum over units, here and in :mod:`.variance`, and every per-unit
+product that feeds it, runs over consecutive blocks of at most
+``UNIT_BLOCK`` units, added in block order (:func:`unit_sum`).  So no pass
+holds an n-unit temporary, a design of one block is summed as the whole
+array bit for bit, and as the block is einsum's buffer, einsum sums a lone
+row as it sums a row of many, which it does not over more units.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ from .errors import (
     Separation,
     ValidationError,
 )
+
+# the unit block: einsum's buffer size, in elements
+UNIT_BLOCK = 8192
 
 # exp(x) overflows float64 just above x = 709
 _EXP_CLIP = 700.0
@@ -52,14 +62,32 @@ class ModelFamily(enum.Enum):
     LOGLINEAR = "loglinear"
 
 
+def unit_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``UNIT_BLOCK`` units covering n units;
+    one empty slice when n is 0."""
+    return [slice(start, start + UNIT_BLOCK)
+            for start in range(0, max(n, 1), UNIT_BLOCK)]
+
+
+def unit_sum(n: int, term):
+    """``term(block)`` summed over :func:`unit_blocks` of n units in block
+    order; with one block, ``term``'s own result."""
+    first, *rest = unit_blocks(n)
+    total = term(first)
+    for block in rest:
+        total = total + term(block)
+    return total
+
+
 def _clipped_exp(eta: np.ndarray) -> np.ndarray:
-    if np.abs(eta).max(initial=0.0) > _EXP_CLIP:
+    """exp(eta), computed in place of ``eta``."""
+    if eta.max(initial=0.0) > _EXP_CLIP or eta.min(initial=0.0) < -_EXP_CLIP:
         warnings.warn(
             "exp argument saturated to avoid overflow", OverflowGuardWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-        eta = np.clip(eta, -_EXP_CLIP, _EXP_CLIP)
-    return np.exp(eta)
+        np.clip(eta, -_EXP_CLIP, _EXP_CLIP, out=eta)
+    return np.exp(eta, out=eta)
 
 
 def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -70,11 +98,17 @@ def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndar
         raise DimensionMismatch(
             f"design has {X.shape[-1]} columns but beta has {beta.shape[0]}"
         )
-    eta = X @ beta
+    return _inverse_link(family, X @ beta)
+
+
+def _inverse_link(family: ModelFamily, eta: np.ndarray) -> np.ndarray:
+    """m from the linear predictor, computed in place of ``eta``, so no
+    n x L prediction holds a temporary of its size."""
     if family is ModelFamily.LINEAR:
         return eta
     if family is ModelFamily.LOGISTIC:
-        return 1.0 / (1.0 + _clipped_exp(-eta))
+        exp = _clipped_exp(np.negative(eta, out=eta))
+        return np.divide(1.0, np.add(1.0, exp, out=exp), out=exp)
     return _clipped_exp(eta)
 
 
@@ -168,11 +202,20 @@ def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
     raise NoConvergence(MAX_ITERATIONS, norm, x)
 
 
-def _check_separation(family: ModelFamily, m: np.ndarray) -> None:
+def _block_means(family: ModelFamily, XT: np.ndarray, beta: np.ndarray):
+    """Yield each unit block of the p x n design ``XT`` with m(x; beta) on
+    it, the linear predictor summed by einsum."""
+    for block in unit_blocks(XT.shape[1]):
+        yield block, _inverse_link(family, np.einsum("in,i->n", XT[:, block], beta))
+
+
+def _check_separation(family: ModelFamily, XT: np.ndarray, beta: np.ndarray) -> None:
     # Under perfect separation the score converges numerically once the
     # fitted probabilities saturate, so pinned probabilities are the
     # reliable signal; the coefficient norm alone never trips first.
-    if family is ModelFamily.LOGISTIC and np.all(np.minimum(m, 1.0 - m) < 1e-8):
+    if family is ModelFamily.LOGISTIC and all(
+        np.all(np.minimum(m, 1.0 - m) < 1e-8) for _, m in _block_means(family, XT, beta)
+    ):
         raise Separation()
 
 
@@ -186,90 +229,120 @@ def solve_quasi_score(
     so a row of weight c stands for c copies of it.  The bootstrap passes each
     resample's distinct rows with their draw counts.  The default, one per
     row, gives the plain fit bit for bit, since multiplying by 1.0 is exact.
+    Each pass over the unit blocks forms the score and the Jacobian at its
+    point together, so no per-unit array outlives its block.
     """
     n, p = X.shape
-    c = np.ones(n) if weights is None else weights
-    total = c.sum()
-    m = None
+    XT = X.T
+    total = n if weights is None else weights.sum()
+    jac = None
 
     def score(beta):
-        nonlocal m
-        m = mean_values(family, X, beta)
-        return np.einsum("in,n->i", X.T, c * (y - m)) / total
-
-    def jacobian(beta):
-        # m was computed at beta by the score call just before this one
-        w = m * (1.0 - m) if family is ModelFamily.LOGISTIC else m
-        return -np.einsum("in,jn->ij", X.T * (c * w), X.T) / total
+        nonlocal jac
+        s, J = np.zeros(p), np.zeros((p, p))
+        for block, m in _block_means(family, XT, beta):
+            resid = y[block] - m
+            w = m * (1.0 - m) if family is ModelFamily.LOGISTIC else m
+            if weights is not None:
+                resid, w = weights[block] * resid, weights[block] * w
+            s += np.einsum("in,n->i", XT[:, block], resid)
+            J += np.einsum("in,jn->ij", XT[:, block] * w, XT[:, block])
+        jac = -J / total
+        return s / total
 
     try:
-        beta, iterations, norm = damped_newton(score, jacobian, np.zeros(p), 1e-10)
-    except NoConvergence:
-        # damped_newton raises at the point it scored last
-        _check_separation(family, m)
+        # damped_newton asks for the Jacobian at the point it scored last
+        beta, iterations, norm = damped_newton(score, lambda _: jac, np.zeros(p), 1e-10)
+    except NoConvergence as exc:
+        _check_separation(family, XT, exc.last)
         raise
-    _check_separation(family, m)
+    _check_separation(family, XT, beta)
     return beta, iterations, norm
 
 
 def least_squares(design: DesignMatrix, y: np.ndarray):
     """Count-weighted least squares of ``y`` on ``design``: ``solve(counts)``
-    fits each row of a k x n count matrix (a resample's draw counts, or ones)
-    and returns the k x p coefficients and a mask of the rows that fitted:
-    those whose Gram matrix clears an eigenvalue screen or, failing it, whose
-    count-weighted design passes the exact ``matrix_rank`` test, and solves.
-    As a Gram matrix squares the condition number, the columns are centred on
-    their means if the design has an intercept (without one, centring would
-    change the model) and scaled by their root mean square; coefficients are
-    mapped back.  A column within ``_NEAR_CONSTANT_ULPS`` of constant, or
-    all zero, fails every row.
+    fits each row of a k x n count matrix (a resample's draw counts), or
+    with no counts the plain fit as one row, and returns the k x p
+    coefficients and a mask of the rows that fitted: those whose Gram matrix
+    clears an eigenvalue screen or, failing it, whose count-weighted design
+    passes the exact ``matrix_rank`` test, and solves.  As a Gram matrix
+    squares the condition number, the columns are centred on their means if
+    the design has an intercept (without one, centring would change the
+    model) and scaled by their root mean square; coefficients are mapped
+    back.  A column within ``_NEAR_CONSTANT_ULPS`` of constant, or all zero,
+    fails every row.  Each solve forms the scaled design a unit block at a
+    time.
     """
-    X = design.values
-    n, p = X.shape
-    # the scaled design Z in the first p rows, then y
-    V = np.empty((p + 1, n))
-    V[p] = y
-    Z = V[:p]
+    XT = design.values.T
+    p, n = XT.shape
+    # a block of the centred design in the first p rows, then y
+    V = np.empty((p + 1, min(n, UNIT_BLOCK)))
+    row, ones = np.empty(V.shape[1]), np.ones((1, V.shape[1]))
+
+    def centred(block: slice) -> np.ndarray:
+        Vb = V[:, : len(y[block])]
+        np.subtract(XT[:, block], shift[:, None], out=Vb[:p])
+        return Vb
+
+    def squares(block: slice) -> np.ndarray:
+        Z = centred(block)[:p]
+        return np.einsum("in,in->i", Z, Z)
+
     shift = np.zeros(p)
     if design.intercept_included:
-        shift[1:] = X.T[1:].sum(axis=1) / n
-    np.subtract(X.T, shift[:, None], out=Z)
-    scale = np.sqrt(np.einsum("in,in->i", Z, Z) / n)
+        shift[1:] = unit_sum(n, lambda block: XT[1:, block].sum(axis=1)) / n
+    scale = np.sqrt(unit_sum(n, squares) / n)
     constant = scale <= _NEAR_CONSTANT_ULPS * np.finfo(float).eps * np.abs(shift)
     scale[constant] = 1.0
-    Z /= scale[:, None]
     back = np.diag(1.0 / scale)
     back[:, 0] -= shift / scale
-    row = np.empty(n)
 
-    def solve(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        k = 1 if counts is None else len(counts)
         if constant.any():
-            return np.zeros((len(counts), p)), np.zeros(len(counts), dtype=bool)
+            return np.zeros((k, p)), np.zeros(k, dtype=bool)
         # count-weighted sums of each product row V[r] * V[c], formed one at
-        # a time: the Gram matrix, then Z'y in column p
-        sums = np.empty((len(counts), p + 1, p + 1))
-        for r in range(p):
-            for c in range(r, p + 1):
-                np.multiply(V[r], V[c], out=row)
-                sums[:, r, c] = sums[:, c, r] = np.einsum("kn,n->k", counts, row)
+        # a time in each block and added to the blocks before: the Gram
+        # matrix, then Z'y in column p
+        sums = np.empty((k, p + 1, p + 1))
+        for block in unit_blocks(n):
+            Vb = centred(block)
+            Vb[:p] /= scale[:, None]
+            Vb[p] = y[block]
+            width = Vb.shape[1]
+            weights = ones[:, :width] if counts is None else counts[:, block]
+            for r in range(p):
+                for c in range(r, p + 1):
+                    np.multiply(Vb[r], Vb[c], out=row[:width])
+                    part = np.einsum("kn,n->k", weights, row[:width])
+                    if block.start:
+                        part += sums[:, r, c]
+                    sums[:, r, c] = sums[:, c, r] = part
         gram, rhs = sums[:, :p, :p], sums[:, :p, p:]
         eig = np.linalg.eigvalsh(gram)
         ok = eig[:, 0] > _RANK_SCREEN * eig[:, -1]
         if not ok.all():
+            X = design.values
             for j in np.flatnonzero(~ok):
-                ok[j] = np.linalg.matrix_rank(X * np.sqrt(counts[j])[:, None]) == p
+                weighted = X if counts is None else X * np.sqrt(counts[j])[:, None]
+                ok[j] = np.linalg.matrix_rank(weighted) == p
             # a row that failed solves to zero coefficients
             gram[~ok], rhs[~ok] = np.eye(p), 0.0
         try:
             gammas = np.linalg.solve(gram, rhs)[..., 0]
         except np.linalg.LinAlgError:
             # an exactly singular Gram matrix fails its own row only
-            gammas = np.zeros((len(counts), p))
+            gammas = np.zeros((k, p))
             for j in np.flatnonzero(ok):
                 try:
                     gammas[j] = np.linalg.solve(gram[j], rhs[j])[:, 0]
                 except np.linalg.LinAlgError:
                     ok[j] = False
+        # BLAS maps a lone row back by another kernel than a row of several,
+        # so a lone row of counts is mapped back beside a copy of itself
+        if counts is not None and k == 1:
+            return (np.repeat(gammas, 2, axis=0) @ back)[:1], ok
         return gammas @ back, ok
 
     return solve
@@ -285,17 +358,19 @@ def fit_model(
     n, p = X.shape
     if len(y) != n:
         raise DimensionMismatch("design rows do not align with responses")
+    # every family takes the bootstrap refits' rank rule: the Gram screen,
+    # else the exact test (Newton flags neither near-singular designs nor
+    # short ones)
+    betas, ok = least_squares(design_matrix, y)()
+    if not ok[0]:
+        raise RankDeficient()
     if family is ModelFamily.LINEAR:
-        # the bootstrap refits' rank rule: the screen, else the exact test
-        betas, ok = least_squares(design_matrix, y)(np.ones((1, n)))
-        if not ok[0]:
-            raise RankDeficient()
         beta, iterations = betas[0], 1
-        norm = float(np.max(np.abs(np.einsum("in,n->i", X.T, y - X @ beta) / n)))
+        score = unit_sum(
+            n, lambda block: np.einsum("in,n->i", X.T[:, block], y[block] - X[block] @ beta)
+        )
+        norm = float(np.max(np.abs(score / n)))
     else:
-        # solve() flags neither near-singular designs nor short ones; this does
-        if np.linalg.matrix_rank(X) < p:
-            raise RankDeficient()
         beta, iterations, norm = solve_quasi_score(family, X, y)
     return FittedModel(
         family=family,

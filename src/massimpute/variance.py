@@ -3,7 +3,9 @@
 The total variance splits into a design-based component for sample A (exact
 double-sum form when joint inclusion probabilities are available, otherwise a
 with-replacement approximation) and a model-based component for sample B built
-from the quasi-score residuals.
+from the quasi-score residuals.  :func:`compute_c_hat` and
+:func:`variance_component_b` sum over units by :mod:`.mean_model`'s block
+rule, so neither holds a temporary of n_B units.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .data_model import (
     SurveySample,
 )
 from .errors import MissingJointProbabilities, SingularSystem
-from .mean_model import FittedModel, mean_gradients, mean_values
+from .mean_model import FittedModel, mean_gradients, mean_values, unit_sum
 
 
 class VarianceStrategyA(enum.Enum):
@@ -72,10 +74,12 @@ def compute_c_hat(
     linear family this reduces to the usual (sum xx')^{-1} * (weighted x
     total) form.
     """
-    grad_b = mean_gradients(model.family, design_b.values, model.beta_hat)
-    lhs = np.einsum("in,jn->ij", grad_b.T, design_b.values.T)
-    grad_a = mean_gradients(model.family, design_a.values, model.beta_hat)
-    rhs = np.einsum("in,n->i", grad_a.T, sample_a.weights)
+    family, beta = model.family, model.beta_hat
+    X_b, X_a, w = design_b.values, design_a.values, sample_a.weights
+    lhs = unit_sum(len(X_b), lambda block: np.einsum(
+        "in,jn->ij", mean_gradients(family, X_b[block], beta).T, X_b[block].T))
+    rhs = unit_sum(len(X_a), lambda block: np.einsum(
+        "in,n->i", mean_gradients(family, X_a[block], beta).T, w[block]))
     try:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
@@ -90,11 +94,14 @@ def variance_component_b(
     population_size: float,
 ) -> float:
     """Model component: squared residuals scaled by the projected instrument."""
-    resid = sample_b.responses - mean_values(
-        model.family, design_b.values, model.beta_hat
-    )
-    g = design_b.values @ c_hat
-    return float(np.sum(resid**2 * g**2) / population_size**2)
+    X, y = design_b.values, sample_b.responses
+
+    def squares(block: slice) -> float:
+        resid = y[block] - mean_values(model.family, X[block], model.beta_hat)
+        g = X[block] @ c_hat
+        return np.sum(resid**2 * g**2)
+
+    return float(unit_sum(len(X), squares) / population_size**2)
 
 
 def _exact_joint_srs(z: np.ndarray, pi: float, pij: float, N: float) -> float:

@@ -32,7 +32,7 @@ from massimpute import (
     variance_component_a,
     write_augmented_dataset,
 )
-from massimpute.bootstrap import bootstrap_variance, estimate_from_augmented
+from massimpute.bootstrap import bootstrap_variance
 from massimpute.mean_model import FittedModel, mean_gradients, mean_values
 from massimpute.variance import VarianceStrategyA
 
@@ -246,7 +246,10 @@ def test_criterion_8_release_file_contract(tmp_path, rng):
 
     path = tmp_path / "aug.csv"
     write_augmented_dataset(sample_a, reps, model, path, population_size=N)
-    theta_file, v_file = estimate_from_augmented(read_augmented_dataset(path))
+    dataset = read_augmented_dataset(path)
+    N_file = dataset.population_size_used()
+    theta_file = ht_mean(dataset.yhat, dataset.weights, N_file)
+    v_file = bootstrap_variance(theta_file, replicate_estimates(dataset, N_file))
     assert theta_file == pytest.approx(theta_mem, abs=1e-12)
     assert v_file == pytest.approx(v_mem, abs=1e-12)
 

@@ -14,6 +14,7 @@ from massimpute import (
     build_design_matrix,
     build_replicates,
     fit_model,
+    ht_mean,
     read_augmented_dataset,
     replicate_estimates,
     replicate_weights,
@@ -27,7 +28,6 @@ from massimpute.bootstrap import (
     _draw_counts,
     _replay,
     _streams,
-    estimate_from_augmented,
 )
 from massimpute.errors import (
     ColumnMismatch,
@@ -407,7 +407,8 @@ class TestPrefixStability:
 
 class TestLoneReplicate:
     """A block or worker range of one replicate is fitted as one of several:
-    einsum sums a lone row of more than 8,192 units in another order."""
+    sums over units run in unit blocks of at most 8,192, einsum's buffer, in
+    which einsum sums a lone row as it sums a row of many."""
 
     n = 9_000
 
@@ -597,7 +598,9 @@ class TestAugmentedFile:
         path = tmp_path / "aug.csv"
         write_augmented_dataset(sample_a, reps, model, path, population_size=N)
         dataset = read_augmented_dataset(path)
-        theta_file, v_file = estimate_from_augmented(dataset)
+        N_file = dataset.population_size_used()
+        theta_file = ht_mean(dataset.yhat, dataset.weights, N_file)
+        v_file = bootstrap_variance(theta_file, replicate_estimates(dataset, N_file))
         assert theta_file == pytest.approx(theta, abs=1e-12)
         assert v_file == pytest.approx(v_mem, abs=1e-12)
 

@@ -171,10 +171,17 @@ class TestBootstrapCommand:
             "--out", str(out),
         ]) == 0
 
-        from massimpute import read_augmented_dataset
-        from massimpute.bootstrap import estimate_from_augmented
+        from massimpute import (
+            bootstrap_variance,
+            ht_mean,
+            read_augmented_dataset,
+            replicate_estimates,
+        )
 
-        theta_mem, v_mem = estimate_from_augmented(read_augmented_dataset(out))
+        dataset = read_augmented_dataset(out)
+        N = dataset.population_size_used()
+        theta_mem = ht_mean(dataset.yhat, dataset.weights, N)
+        v_mem = bootstrap_variance(theta_mem, replicate_estimates(dataset, N))
 
         report = pipeline_files["dir"] / "report.json"
         assert run_cli([
