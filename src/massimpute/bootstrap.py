@@ -5,7 +5,12 @@ sample A, (2) a with-replacement refit of the mean model on sample B,
 (3) replicate imputations for sample A from the refitted coefficients,
 (4) repeat independently L times.  The augmented release file pairs each
 replicate-weight column with its replicate-imputation column so variance can
-be estimated without any access to sample B.
+be estimated without any access to sample B.  :func:`build_replicates` runs
+step (2) for every replicate first (:func:`bootstrap_refit`), then steps (1)
+and (3) on sample A alone (:func:`sample_a_replicates`), so a caller that
+runs the two itself, as the ``bootstrap`` command does, can release sample B
+before sample A's n_A x L replicate columns exist.  Each replicate depends
+on its seed, index and step alone, so the order changes no bit.
 
 Replicate k draws from its own stream, the v1 layout
 ``default_rng(SeedSequence([seed, k, tag, attempt]))`` with tag 0 for the
@@ -303,22 +308,40 @@ def build_replicates(
     seed: int,
     workers: int = 1,
 ) -> ReplicateSet:
-    """Compose the four bootstrap steps into a paired replicate set; the
-    refits run in up to ``workers`` processes."""
-    base = predict_all(model, design_a)
-    rep_w = replicate_weights(sample_a, design_spec, L, seed)
+    """Compose the four bootstrap steps into a paired replicate set: the
+    refits of sample B, in up to ``workers`` processes, then
+    :func:`sample_a_replicates`."""
     betas, retries = bootstrap_refit(
         sample_b, model.family, design_b, L, seed, workers
     )
+    return sample_a_replicates(model, sample_a, design_a, design_spec, betas, seed,
+                               retries)
+
+
+def sample_a_replicates(
+    model: FittedModel,
+    sample_a: SurveySample,
+    design_a: DesignMatrix,
+    design_spec: DesignSpec,
+    betas: np.ndarray,
+    seed: int,
+    refit_retries: int = 0,
+) -> ReplicateSet:
+    """The replicate set of the L x p refitted coefficients ``betas``
+    (:func:`bootstrap_refit`): sample A's replicate weights, paired with its
+    imputations under each replicate's coefficients.  It needs nothing of
+    sample B, so a caller may release B before it runs."""
+    base = predict_all(model, design_a)
+    rep_w = replicate_weights(sample_a, design_spec, len(betas), seed)
     # column k of imputations comes from replicate k's coefficients only
     rep_yhat = mean_values(model.family, design_a.values, betas.T)
     return ReplicateSet(
-        L=L,
+        L=len(betas),
         replicate_weights=rep_w,
         replicate_imputations=rep_yhat,
         base_imputations=base,
         master_seed=seed,
-        refit_retries=retries,
+        refit_retries=refit_retries,
     )
 
 

@@ -21,11 +21,12 @@ from dataclasses import replace
 from . import __version__
 from .bootstrap import (
     IMPUTED_FORMAT,
+    bootstrap_refit,
     bootstrap_variance,
-    build_replicates,
     manifest_path,
     read_augmented_dataset,
     replicate_estimates,
+    sample_a_replicates,
     write_augmented_dataset,
 )
 from .data_model import (
@@ -373,9 +374,15 @@ def cmd_estimate(args) -> int:
 def cmd_bootstrap(args) -> int:
     model, sample_b, design_b, schema = _fit_from_args(args)
     sample_a, design_a = _load_sample_a(args, model, schema)
-    replicate_set = build_replicates(
-        model, sample_a, sample_b, design_a, design_b, ppswr_design(args.pop_size),
-        args.L, args.seed, usable_cpus(),
+    betas, retries = bootstrap_refit(
+        sample_b, model.family, design_b, args.L, args.seed, usable_cpus()
+    )
+    # only the refits need sample B: release it before sample A's n_A x L
+    # replicate columns are built and written
+    del sample_b, design_b
+    replicate_set = sample_a_replicates(
+        model, sample_a, design_a, ppswr_design(args.pop_size), betas, args.seed,
+        retries,
     )
     write_augmented_dataset(
         sample_a, replicate_set, model, args.out, population_size=args.pop_size

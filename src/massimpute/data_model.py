@@ -3,6 +3,15 @@
 The two-sample setup: a probability sample A carrying design weights, and a
 non-probability sample B carrying responses.  Membership in B is what plays
 the role of the selection indicator; it is never stored as a column.
+
+A sample's covariates are held once.  :func:`load_sample` takes the columns
+:mod:`.table` parses a chunk of rows at a time (numeric ones as float
+arrays, categorical ones as integer codes into their levels) and writes the
+covariates, each level other than the reference as a 0/1 indicator, into the
+rows of one C-contiguous (intercept + covariates) x n array; the sample's
+covariate columns are row views of it.  :func:`build_design_matrix` returns
+that array's transpose, with no copy, when asked for the sample's own
+covariates, and builds a new p x n array for any other selection.
 """
 
 from __future__ import annotations
@@ -58,6 +67,9 @@ class SurveySample:
     kind: SampleKind
     response_name: str | None = None
     weight_name: str | None = None
+    # the (intercept + covariates) x n array whose later rows are the
+    # covariate columns, when load_sample wrote them into one
+    design_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -172,7 +184,9 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
 
     Categorical covariates are expanded to indicator columns named
     ``{col}={level}`` with the declared reference level dropped.  Cells are
-    parsed and checked by :func:`~massimpute.table.read_columns`.
+    parsed and checked by :func:`~massimpute.table.read_columns`.  The
+    covariate columns are the rows after the first of the sample's
+    ``design_rows``, whose first row is the intercept's ones.
     """
     text = {name for name in schema.covariates if name in schema.categoricals}
     clash = text & {schema.response, schema.weight}
@@ -182,28 +196,36 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
     declared = [*schema.covariates, schema.response, schema.weight]
     raw = read_columns(path, [name for name in declared if name is not None], text)
 
-    columns: dict[str, np.ndarray] = {}
-    covariate_names: list[str] = []
+    # (column name, parsed column, the code of its level or None if numeric)
+    covariates = []
     for name in schema.covariates:
+        column = raw[name]
         if name in schema.categoricals:
-            values = raw[name]
-            for level in sorted(set(values) - {schema.categoricals[name]}):
-                col_name = f"{name}={level}"
-                columns[col_name] = (values == level).astype(float)
-                covariate_names.append(col_name)
+            levels = sorted(set(column.levels) - {schema.categoricals[name]})
+            covariates += [(f"{name}={level}", column.codes, column.levels.index(level))
+                           for level in levels]
         else:
-            columns[name] = raw[name]
-            covariate_names.append(name)
+            covariates.append((name, column, None))
+    rows = np.empty((1 + len(covariates), len(next(iter(raw.values())))))
+    rows[0] = 1.0
+    for row, (_, values, code) in zip(rows[1:], covariates):
+        if code is None:
+            row[:] = values
+        else:
+            np.equal(values, code, out=row)
+
+    columns = {name: row for (name, _, _), row in zip(covariates, rows[1:])}
     for name in (schema.response, schema.weight):
         if name is not None:
             columns[name] = raw[name]
 
     return SurveySample(
         columns=columns,
-        covariate_names=tuple(covariate_names),
+        covariate_names=tuple(name for name, _, _ in covariates),
         kind=kind,
         response_name=schema.response,
         weight_name=schema.weight,
+        design_rows=rows,
     )
 
 
@@ -212,7 +234,9 @@ def build_design_matrix(
     covariates: tuple[str, ...] | list[str],
     intercept: bool = True,
 ) -> DesignMatrix:
-    """Assemble the model matrix in declaration order, intercept first."""
+    """Assemble the model matrix in declaration order, intercept first: a
+    view of the sample's ``design_rows`` when it has them and ``covariates``
+    are its own, else a new array."""
     covariates = tuple(covariates)
     for name in covariates:
         if name not in sample.columns:
@@ -220,10 +244,13 @@ def build_design_matrix(
     first = 1 if intercept else 0
     names = ("(intercept)",) * first + covariates
     # a C-contiguous p x n array, so every sum over units runs along its rows
-    rows = np.empty((len(names), sample.n))
-    rows[:first] = 1.0
-    for row, name in zip(rows[first:], covariates):
-        row[:] = sample.columns[name]
+    if sample.design_rows is not None and covariates == sample.covariate_names:
+        rows = sample.design_rows[1 - first :]
+    else:
+        rows = np.empty((len(names), sample.n))
+        rows[:first] = 1.0
+        for row, name in zip(rows[first:], covariates):
+            row[:] = sample.columns[name]
     return DesignMatrix(
         values=rows.T,
         column_names=names,

@@ -6,17 +6,24 @@ round-trip representation, so reading a file back returns the exact values.
 Files with CRLF line endings read the same as LF files.
 
 A file without quotes, carriage returns or NULs is parsed by numpy's C reader
-(``np.loadtxt``).  Any other file, and any file that reader rejects or whose
-values hold a non-finite number or an empty text cell, is parsed again by
-``csv.reader`` and walked cell by cell, so both paths give the same values
+(``np.loadtxt``), a chunk of ``_READ_ROWS`` rows at a time.  The scan that
+checks the file also counts its lines, which bound its rows, so each numeric
+column is one float array of that length, into which every chunk's cells are
+written as they are parsed.  A text column is stripped a chunk at a time and
+kept as integer codes into its levels (:class:`TextColumn`), never as an
+array of Python strings.  Any other file, and any file that reader rejects or
+whose values hold a non-finite number or an empty text cell, is parsed again
+by ``csv.reader`` and walked cell by cell, so both paths give the same values
 and the same errors.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +41,10 @@ from .errors import (
 # rows are written in blocks of about this many cells, so that a table is
 # never held as Python floats: each costs about 31 bytes a cell
 _WRITE_CELLS = 2**14
+# the numpy path parses this many rows at a time, so that a chunk's parsed
+# cells, the text ones as Python strings, are the only copy besides the
+# columns themselves
+_READ_ROWS = 2**14
 
 
 def write_table(path, header, columns) -> None:
@@ -56,10 +67,10 @@ def write_table(path, header, columns) -> None:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
-def read_columns(path, names, text=()) -> dict[str, np.ndarray]:
+def read_columns(path, names, text=()) -> dict[str, np.ndarray | TextColumn]:
     """The columns ``names`` of a CSV file, every cell checked: those in
-    ``text`` as object arrays of stripped cells, the others as contiguous
-    float arrays of the cells Python's ``float()`` accepts.
+    ``text`` as :class:`TextColumn` codes of their stripped cells, the others
+    as contiguous float arrays of the cells Python's ``float()`` accepts.
 
     Blank lines are skipped.  Raises :class:`EmptyFile` for no data row,
     :class:`RaggedRow` for a row whose cell count differs from the header's,
@@ -72,56 +83,89 @@ def read_columns(path, names, text=()) -> dict[str, np.ndarray]:
     return _read_checked(path, names, text) if columns is None else columns
 
 
+@dataclass(frozen=True)
+class TextColumn:
+    """A text column: row i's stripped cell is ``levels[codes[i]]``, and
+    ``levels`` holds the distinct cells in order of first appearance."""
+
+    codes: np.ndarray
+    levels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+def _encode(cells, levels: dict) -> np.ndarray:
+    """The codes of the stripped ``cells``; ``levels`` maps each level seen so
+    far to its code and gains the new ones."""
+    return np.fromiter((levels.setdefault(cell.strip(), len(levels)) for cell in cells),
+                       np.int32, len(cells))
+
+
 def _read_plain(path, names, text):
     """:func:`read_columns` by ``np.loadtxt``, or None where the file or its
     values need the checked walk."""
     with open(path, newline="") as fh:
         try:  # a UnicodeDecodeError is a ValueError
-            header = _plain_header(fh)
-            if header is None or any(name not in header for name in names):
+            scan = _scan_plain(fh)
+            if scan is None or any(name not in scan[0] for name in names):
                 return None
+            header, bound = scan
             index = {name: header.index(name) for name in names}
             # one field per header cell, so a row of another width raises;
             # cells of unrequested columns are not checked, as in the walk
             kinds = ["U1"] * len(header)
             for name, j in index.items():
                 kinds[j] = object if name in text else float
+            dtype = [(f"f{j}", kind) for j, kind in enumerate(kinds)]
+            numbers = {name: np.empty(bound) for name in index if name not in text}
+            codes = {name: np.empty(bound, np.int32) for name in index if name in text}
+            levels = {name: {} for name in codes}
             fh.seek(0)
-            table = np.loadtxt(
-                fh, dtype=[(f"f{j}", kind) for j, kind in enumerate(kinds)],
-                delimiter=",", comments=None, skiprows=1, ndmin=1,
-            )
+            next(fh)  # the header line
+            # loadtxt skips blank lines itself, but warns when given max_rows
+            lines = filter("\n".__ne__, fh)
+            filled = 0
+            while filled < bound and (first := next(lines, None)) is not None:
+                chunk = np.loadtxt(
+                    itertools.chain((first,), lines), dtype=dtype, delimiter=",",
+                    comments=None, max_rows=min(_READ_ROWS, bound - filled), ndmin=1,
+                )
+                rows = slice(filled, filled + len(chunk))
+                for name, column in numbers.items():
+                    column[rows] = chunk[f"f{index[name]}"]
+                    if not np.isfinite(column[rows]).all():
+                        return None
+                for name, column in codes.items():
+                    column[rows] = _encode(chunk[f"f{index[name]}"], levels[name])
+                filled = rows.stop
         except ValueError:
             return None
-
-    numeric = [name for name in index if name not in text]
-    numbers = np.empty((len(numeric), len(table)))
-    for row, name in zip(numbers, numeric):
-        row[...] = table[f"f{index[name]}"]
-    columns = {
-        name: np.array([cell.strip() for cell in table[f"f{j}"]], dtype=object)
-        for name, j in index.items() if name in text
-    }
-    if not np.isfinite(numbers).all() or any("" in v for v in columns.values()):
+    if any("" in seen for seen in levels.values()):
         return None
-    return {**columns, **dict(zip(numeric, numbers))}
+    return {
+        **{name: TextColumn(codes[name][:filled], tuple(levels[name])) for name in codes},
+        **{name: column[:filled] for name, column in numbers.items()},
+    }
 
 
-def _plain_header(fh):
+def _scan_plain(fh):
     """The stripped header cells of a file that ``csv.reader`` and
-    ``np.loadtxt`` split alike and that has a non-blank data line, else None.
+    ``np.loadtxt`` split alike and that has a non-blank data line, and a bound
+    on its data rows (its lines after the header), else None.
 
     The file is read in chunks of half ``csv.field_size_limit()``, so a cell
     too long for ``csv.reader`` covers a whole chunk without a comma or line
     break and sends the file to the walk, which raises for it.
     """
-    head, header, rows = "", None, False
+    head, header, rows, lines, last = "", None, False, 0, "\n"
     size = csv.field_size_limit() // 2
     while chunk := fh.read(size):
         if '"' in chunk or "\r" in chunk or "\0" in chunk:
             return None
         if "," not in chunk and "\n" not in chunk:
             return None
+        last = chunk[-1]
         if header is None:
             head += chunk
             if "\n" not in head:
@@ -130,8 +174,11 @@ def _plain_header(fh):
             if not line:  # csv.reader reads an empty header line as no cells
                 return None
             header = [h.strip() for h in line.split(",")]
-        rows = rows or chunk.count("\n") < len(chunk)
-    return header if rows else None
+        newlines = chunk.count("\n")
+        rows = rows or newlines < len(chunk)
+        lines += newlines
+    # a last line without a line break is a row too
+    return (header, lines + (last != "\n")) if rows else None
 
 
 def _read_checked(path, names, text):
@@ -154,16 +201,19 @@ def _read_checked(path, names, text):
     index = {name: header.index(name) for name in names}
 
     numeric = [name for name in index if name not in text]
-    columns = {
-        name: np.array([row[j].strip() for row in rows], dtype=object)
-        for name, j in index.items() if name in text
-    }
+    columns = {}
+    for name, j in index.items():
+        if name in text:
+            levels = {}
+            codes = _encode([row[j] for row in rows], levels)
+            columns[name] = TextColumn(codes, tuple(levels))
     try:
         # one parse of all numeric cells; each row of the result is a column
         numbers = np.array(
             [[row[j] for row in rows] for j in map(index.get, numeric)], dtype=float
         )
-        if np.isfinite(numbers).all() and not any("" in v for v in columns.values()):
+        if (np.isfinite(numbers).all()
+                and not any("" in v.levels for v in columns.values())):
             return {**columns, **dict(zip(numeric, numbers))}
     except ValueError:
         pass

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import massimpute
-from massimpute import ModelFamily, bootstrap_refit, build_design_matrix
+from massimpute import (
+    ColumnSchema,
+    ModelFamily,
+    SampleKind,
+    bootstrap_refit,
+    build_design_matrix,
+    build_replicates,
+    fit_model,
+    load_sample,
+    ppswr_design,
+    write_augmented_dataset,
+)
 from massimpute.bootstrap import manifest_path
 from massimpute.cli import run_cli
 
@@ -243,6 +255,55 @@ class TestBootstrapCommand:
         assert redraws > 0
         manifest = json.loads(pathlib.Path(manifest_path(out)).read_text())
         assert manifest["redraws"] == redraws
+
+
+    @pytest.mark.parametrize("family, response", [("linear", "y"), ("logistic", "z")])
+    def test_sample_b_released_before_sample_a_replicates(
+            self, pipeline_files, monkeypatch, rng, family, response):
+        from massimpute import bootstrap, cli
+
+        x = rng.normal(2, 1, size=300)
+        y = 1 + 2 * x + rng.normal(size=300)
+        z = (rng.random(300) < 1 / (1 + np.exp(2 - x))).astype(float)
+        train = write_csv(pipeline_files["dir"] / "b3.csv", ["x", "y", "z"],
+                          [[repr(a), repr(b), repr(c)] for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())])
+        held, alive = [], []
+
+        def refit(sample_b, family, design_b, *args, _refit=cli.bootstrap_refit):
+            held.extend(weakref.ref(v) for v in (sample_b, design_b, sample_b.design_rows))
+            return _refit(sample_b, family, design_b, *args)
+
+        def weights(*args, _weights=bootstrap.replicate_weights):
+            alive.append([ref() is not None for ref in held])
+            return _weights(*args)
+
+        monkeypatch.setattr(cli, "bootstrap_refit", refit)
+        monkeypatch.setattr(bootstrap, "replicate_weights", weights)
+        out = pipeline_files["dir"] / "aug.csv"
+        assert run_cli([
+            "bootstrap", "--train", str(train), "--response", response,
+            "--covariates", "x", "--family", family,
+            "--sample-a", pipeline_files["sample_a"], "--weight", "w",
+            "--pop-size", "1000", "--L", "12", "--seed", "5", "--out", str(out),
+        ]) == 0
+        assert len(held) == 3 and alive == [[False] * 3]
+
+        # the same release file from build_replicates, which holds B throughout
+        monkeypatch.undo()
+        schema = ColumnSchema(("x",), response)
+        sample_b = load_sample(train, schema, SampleKind.NON_PROBABILITY_B)
+        design_b = build_design_matrix(sample_b, ("x",))
+        model = fit_model(ModelFamily(family), sample_b, design_b)
+        sample_a = load_sample(pipeline_files["sample_a"], ColumnSchema(("x",), weight="w"),
+                               SampleKind.PROBABILITY_A)
+        replicates = build_replicates(
+            model, sample_a, sample_b, build_design_matrix(sample_a, ("x",)), design_b,
+            ppswr_design(1000.0), 12, 5)
+        expected = pipeline_files["dir"] / "expected.csv"
+        write_augmented_dataset(sample_a, replicates, model, expected, population_size=1000.0)
+        assert out.read_bytes() == expected.read_bytes()
+        assert (pathlib.Path(manifest_path(out)).read_bytes()
+                == pathlib.Path(manifest_path(expected)).read_bytes())
 
 
 class TestSimulateCommand:

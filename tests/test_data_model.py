@@ -1,6 +1,7 @@
 """Ingestion, validation, design matrices, and population-size estimation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,49 @@ class TestDesignMatrix:
         dm = build_design_matrix(sample, ("x", "x"), intercept=True)
         with pytest.raises(RankDeficient):
             fit_model(ModelFamily.LINEAR, sample, dm)
+
+
+class TestOneCopyOfTheCovariates:
+    """Sample B's covariates are parsed into the rows of its design, and the
+    design returned for its own covariates is that array, not a copy."""
+
+    def test_design_is_the_sample_columns(self, tmp_path, rng):
+        n = 100_000
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        # levels of several characters: Python keeps one string per cell read
+        g = np.array(["ref", "alpha", "beta"])[rng.integers(0, 3, n)]
+        path = tmp_path / "b.csv"
+        with open(path, "w") as fh:
+            fh.write("x,g,y\n")
+            fh.writelines(f"{a!r},{b},{c!r}\n" for a, b, c in zip(x.tolist(), g, y.tolist()))
+        schema = ColumnSchema(("x", "g"), "y", categoricals={"g": "ref"})
+        tracemalloc.start()
+        try:
+            sample = load_sample(path, schema, SampleKind.NON_PROBABILITY_B)
+            design = build_design_matrix(sample, sample.covariate_names)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert design.column_names == ("(intercept)", "x", "g=alpha", "g=beta")
+        assert np.shares_memory(sample.columns["x"], design.values)
+        np.testing.assert_array_equal(design.values[:, 2], g == "alpha")
+        assert sample.columns["x"].tobytes() == x.tobytes()
+        # the intercept, x and two level indicators, and y: five float rows
+        assert held <= 5 * 8 * n + 2**16
+        # beyond them, about one chunk: x as parsed and g's codes
+        assert peak - held <= 1.5 * 2**20
+
+    def test_other_covariates_are_copied(self, tmp_path):
+        path = write_csv(tmp_path / "b.csv", ["x", "v", "y"],
+                         [[1.0, 2.0, 3.0], [2.0, 5.0, 1.0], [4.0, 1.0, 0.0]])
+        sample = load_sample(path, ColumnSchema(("x", "v"), "y"),
+                             SampleKind.NON_PROBABILITY_B)
+        own = build_design_matrix(sample, ("x", "v"), intercept=False)
+        assert np.shares_memory(own.values, sample.columns["v"])
+        assert own.values.T.flags.c_contiguous
+        other = build_design_matrix(sample, ("v",), intercept=True)
+        assert not np.shares_memory(other.values, sample.columns["v"])
+        np.testing.assert_array_equal(other.values, [[1.0, 2.0], [1.0, 5.0], [1.0, 1.0]])
 
 
 class TestEstimatePopulationSize:

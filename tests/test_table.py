@@ -5,6 +5,7 @@ import io
 import pathlib
 import tempfile
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -13,18 +14,25 @@ from hypothesis import strategies as st
 
 from massimpute import table
 from massimpute.errors import (
+    EmptyFile,
     MissingColumn,
     MissingValue,
     NonFiniteValue,
     NonNumericValue,
+    RaggedRow,
     ValidationError,
 )
-from massimpute.table import read_columns, write_table
+from massimpute.table import TextColumn, read_columns, write_table
 
 
 def _write(path, text):
     path.write_text(text)
     return path
+
+
+def _cells(column):
+    """A text column's stripped cells, row by row."""
+    return [column.levels[code] for code in column.codes]
 
 
 @pytest.mark.parametrize("cell, error", [
@@ -86,7 +94,7 @@ def test_float_spellings_accepted(tmp_path):
 def test_text_cells_are_stripped(tmp_path):
     path = _write(tmp_path / "t.csv", 'g,x\n a ,1\n"b, c",2\n1.50,3\n')
     columns = read_columns(path, ["g", "x"], text={"g"})
-    assert columns["g"].tolist() == ["a", "b, c", "1.50"]
+    assert _cells(columns["g"]) == ["a", "b, c", "1.50"]
     np.testing.assert_array_equal(columns["x"], [1.0, 2.0, 3.0])
 
 
@@ -106,10 +114,10 @@ def test_plain_file_is_not_split_by_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(table.csv, "reader", refuse)
     columns = read_columns(path, ["y", "g", "x"], text={"g"})
     assert list(columns) == ["g", "y", "x"]
-    assert columns["g"].tolist() == ["a", "b"]
+    assert _cells(columns["g"]) == ["a", "b"]
     np.testing.assert_array_equal(columns["x"], [1.5, 2.0])
     assert columns["y"].tobytes() == np.array([-0.0, 1e-3]).tobytes()
-    assert all(v.flags.c_contiguous for v in columns.values())
+    assert all(columns[name].flags.c_contiguous for name in ("x", "y"))
 
 
 def _outcome(read, path, names, text):
@@ -122,8 +130,8 @@ def _outcome(read, path, names, text):
     if columns is None:
         return None
     return [
-        (name, v.dtype, v.flags.c_contiguous,
-         v.tolist() if v.dtype == object else v.tobytes())
+        (name, v.levels, v.codes.dtype, v.codes.tobytes()) if isinstance(v, TextColumn)
+        else (name, v.dtype, v.flags.c_contiguous, v.tobytes())
         for name, v in columns.items()
     ]
 
@@ -181,6 +189,95 @@ def test_fast_path_matches_checked_walk(case):
         path.write_bytes(text.encode("utf-8"))
         assert (_outcome(read_columns, path, names, text_columns)
                 == _outcome(table._read_checked, path, names, text_columns))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(case=_csv_files())
+def test_fast_path_matches_checked_walk_across_chunks(rows, case):
+    # a chunk of one or two rows, so that every file of several rows is
+    # parsed across chunks
+    text, names, text_columns = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            unittest.mock.patch.object(table, "_READ_ROWS", rows):
+        path = pathlib.Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (_outcome(read_columns, path, names, text_columns)
+                == _outcome(table._read_checked, path, names, text_columns))
+
+
+_GOOD_ROW = ["1.5", "a", "2"]
+
+
+@pytest.mark.parametrize("row", [2, 3], ids=["chunk-end", "chunk-start"])
+@pytest.mark.parametrize("cells, error, column", [
+    (["1.5", "a", "abc"], NonNumericValue, "y"),
+    (["1.5", "a", "inf"], NonFiniteValue, "y"),
+    (["", "a", "2"], MissingValue, "x"),
+    (["1.5", " ", "2"], MissingValue, "g"),
+    (["1.5", "a"], RaggedRow, None),
+    (["1.5", "a", "2", "3"], RaggedRow, None),
+], ids=["non-numeric", "non-finite", "empty", "empty-text", "short", "long"])
+def test_bad_row_at_chunk_boundary(tmp_path, monkeypatch, row, cells, error, column):
+    # chunks of two rows: row 2 ends the first, row 3 starts the second
+    monkeypatch.setattr(table, "_READ_ROWS", 2)
+    rows = [_GOOD_ROW] * 4
+    rows[row - 1] = cells
+    path = _write(tmp_path / "t.csv", "x,g,y\n" + "".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(error) as exc:
+        read_columns(path, ["x", "g", "y"], text={"g"})
+    assert exc.value.row == row
+    assert getattr(exc.value, "column", None) == column
+    assert (_outcome(read_columns, path, ["x", "g", "y"], {"g"})
+            == _outcome(table._read_checked, path, ["x", "g", "y"], {"g"}))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line", [2, 3, 4], ids=["chunk-end", "chunk-start", "second"])
+def test_blank_line_at_chunk_boundary(tmp_path, monkeypatch, line):
+    # a blank line among chunks of two rows is skipped, not counted, and
+    # raises no warning (loadtxt warns of one when given max_rows): the bad
+    # cell of the last data row is still row 4
+    monkeypatch.setattr(table, "_READ_ROWS", 2)
+    lines = ["0.5,a,1", "1.5,b,2", "2.5,a,3", "3.5,c,4"]
+    lines.insert(line - 1, "")
+    path = _write(tmp_path / "t.csv", "x,g,y\n" + "\n".join(lines) + "\n")
+    columns = read_columns(path, ["x", "g", "y"], text={"g"})
+    np.testing.assert_array_equal(columns["x"], [0.5, 1.5, 2.5, 3.5])
+    assert _cells(columns["g"]) == ["a", "b", "a", "c"]
+    assert (_outcome(read_columns, path, ["x", "g", "y"], {"g"})
+            == _outcome(table._read_checked, path, ["x", "g", "y"], {"g"}))
+    bad = _write(tmp_path / "bad.csv", path.read_text().replace("3.5,c,4", "3.5,c,abc"))
+    with pytest.raises(NonNumericValue) as exc:
+        read_columns(bad, ["x", "g", "y"], text={"g"})
+    assert (exc.value.column, exc.value.row) == ("y", 4)
+
+
+@pytest.mark.parametrize("newline", [True, False], ids=["newline", "no-newline"])
+@pytest.mark.parametrize("rows", [lambda chunk: 0, lambda chunk: 1,
+                                  lambda chunk: chunk - 1, lambda chunk: chunk,
+                                  lambda chunk: chunk + 1],
+                         ids=["0", "1", "chunk-1", "chunk", "chunk+1"])
+def test_row_counts_around_a_chunk(tmp_path, monkeypatch, rows, newline):
+    n = rows(table._READ_ROWS)
+    x = np.arange(n) / 4.0
+    g = [f"l{i % 3}" for i in range(n)]
+    text = "x,g\n" + "\n".join(f"{v!r},{level}" for v, level in zip(x.tolist(), g))
+    path = _write(tmp_path / "t.csv", text + "\n" * newline)
+    if n == 0:
+        with pytest.raises(EmptyFile):
+            read_columns(path, ["x", "g"], text={"g"})
+        return
+    walk = _outcome(table._read_checked, path, ["x", "g"], {"g"})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on a plain file")
+
+    monkeypatch.setattr(table.csv, "reader", refuse)
+    columns = read_columns(path, ["x", "g"], text={"g"})
+    assert columns["x"].tobytes() == x.tobytes() and columns["x"].flags.c_contiguous
+    assert _cells(columns["g"]) == g
+    assert _outcome(read_columns, path, ["x", "g"], {"g"}) == walk
 
 
 def test_write_table_bytes_match_csv_writer(tmp_path):
