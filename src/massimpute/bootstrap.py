@@ -35,15 +35,26 @@ stream-compatibility policy fixes the hash, PCG64's seeding and output and
 the bounded-integer rule, so the streams, and every output, are those of the
 per-stream construction bit for bit.
 
-Replicate weights are every replicate's resample counts times the rescaled
-base weights, scaled in one array operation.  Linear refits go in blocks of
-about 2^20 resample counts to :func:`~massimpute.mean_model.least_squares`,
-the full-sample fit's normal equations.  Like every sum over units, their
-sums run over unit blocks of at most 8,192 units (the block rule of
-:mod:`.mean_model`), so einsum sums each row of a count matrix alike however
-many rows share it, and a lone row's coefficients are mapped back as a
-row of several: earlier columns do not move when L grows, and no worker
-count changes a bit.
+Sample A's replicate columns are built a block of replicates at a time
+(:func:`replicate_blocks`).  A block is one draw group, ``_DRAW_CELLS //
+(n_A - 1)`` columns and at least one.  Its weights are its resample counts
+times the rescaled base weights, and its imputations are its refitted
+coefficients' predictions, multiplied by einsum, so a column's bits do not
+depend on the block's width.  Two consumers take the same blocks: the Monte
+Carlo reduces each block straight to its replicate estimates
+(:func:`sample_a_estimates`), so no n_A x L array exists in a rep, and the
+``bootstrap`` command fills the n_A x L release columns from them
+(:func:`sample_a_replicates`).  A block's sum over units adds each column's
+rows in order, as numpy sums a column of a C-order n_A x L product, so the
+estimates are those of the whole product bit for bit.
+
+Linear refits go in blocks of about 2^20 resample counts to
+:func:`~massimpute.mean_model.least_squares`, the full-sample fit's normal
+equations.  Like every sum over units, their sums run over unit blocks of at
+most 8,192 units (the block rule of :mod:`.mean_model`), so einsum sums each
+row of a count matrix alike however many rows share it, and a lone row's
+coefficients are mapped back as a row of several: earlier columns do not
+move when L grows, and no worker count changes a bit.
 
 Logistic and log-linear refits run one replicate at a time, each on the
 distinct rows of its resample (about 63% of n_B, gathered in row order from
@@ -109,7 +120,7 @@ def _streams(seed: int, ks, tag: int, attempt: int = 0):
 
     It is one generator re-seeded for every k, so take k's draws before
     asking for the next.  Each call makes its own generator, so concurrent
-    callers share no state.  :func:`_draw_counts` takes raw words from its
+    callers share no state.  :func:`_count_groups` takes raw words from its
     bit generator in small groups, and calls its ``integers`` for large
     resamples.
     """
@@ -156,15 +167,17 @@ def _replay(bit_generator, n: int, size: int) -> np.ndarray:
     return np.concatenate(kept)[:size]
 
 
-def _draw_counts(seed: int, ks, tag: int, attempt: int, n: int, size: int,
-                 out: np.ndarray) -> None:
-    """Set row j of ``out`` to ``bincount(integers(0, n, size), minlength=n)``
-    on the stream of ``ks[j]`` (see :func:`_streams`), bit for bit."""
+def _count_groups(seed: int, ks, tag: int, attempt: int, n: int, size: int):
+    """Yield (rows, counts) for consecutive groups of ``ks``: row j of the
+    group's counts is ``bincount(integers(0, n, size), minlength=n)`` on the
+    stream of ``ks[rows][j]`` (see :func:`_streams`), bit for bit.  A group
+    holds ``_DRAW_CELLS // size`` replicates, or one when that is below two."""
     group = min(_DRAW_CELLS // size, len(ks))
     streams = _streams(seed, ks, tag, attempt)
     if group < 2:
-        for row, gen in zip(out, streams):
-            row[:] = np.bincount(gen.integers(0, n, size=size), minlength=n)
+        for j, gen in enumerate(streams):
+            yield slice(j, j + 1), np.bincount(gen.integers(0, n, size=size),
+                                               minlength=n)[None]
         return
     threshold = (2**32 - n) % n
     words = -(-size // 2)
@@ -188,17 +201,23 @@ def _draw_counts(seed: int, ks, tag: int, attempt: int, n: int, size: int,
             gen = next(_streams(seed, ks[start + j : start + j + 1], tag, attempt))
             d[j] = _replay(gen.bit_generator, n, size)
         d += offsets[:rows]
-        out[start : start + rows] = np.bincount(
+        yield slice(start, start + rows), np.bincount(
             d.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def replicate_weights(
-    sample_a: SurveySample,
-    design_spec: DesignSpec,
-    L: int,
-    seed: int,
-) -> np.ndarray:
-    """Rescaling-bootstrap replication weights, one column per replicate."""
+def _draw_counts(seed: int, ks, tag: int, attempt: int, n: int, size: int,
+                 out: np.ndarray) -> None:
+    """Set row j of ``out`` to the counts of ``ks[j]`` (:func:`_count_groups`)."""
+    for rows, counts in _count_groups(seed, ks, tag, attempt, n, size):
+        out[rows] = counts
+        del counts  # before the next group is drawn
+
+
+def _weight_blocks(sample_a: SurveySample, design_spec: DesignSpec, L: int,
+                   seed: int):
+    """Check the design, then return an iterator of (columns, weights): the
+    rescaling-bootstrap weights of each draw group of the L replicates
+    (:func:`_count_groups`), an n x b block that the next block overwrites."""
     if L < 1:
         raise ValidationError("number of replicates must be at least 1")
     if design_spec.design not in (DesignKind.SRS_WOR, DesignKind.PPS_WR):
@@ -209,10 +228,33 @@ def replicate_weights(
     n = len(w)
     if n < 2:
         raise UnsupportedDesign("rescaling bootstrap needs at least 2 units")
-    out = np.empty((n, L))
-    _draw_counts(seed, np.arange(L), 0, 0, n, n - 1, out.T)
-    # the same two roundings per cell as w * (n / (n - 1)) * count
-    out *= (w * (n / (n - 1)))[:, None]
+    scale = (w * (n / (n - 1)))[:, None]
+
+    def blocks():
+        buffer = None
+        for cols, counts in _count_groups(seed, np.arange(L), 0, 0, n, n - 1):
+            if buffer is None:  # the first group is the widest
+                buffer = np.empty((n, len(counts)))
+            weights = buffer[:, : len(counts)]
+            # the same two roundings per cell as w * (n / (n - 1)) * count
+            np.multiply(counts.T, scale, out=weights)
+            del counts  # before the caller's work on the block
+            yield cols, weights
+
+    return blocks()
+
+
+def replicate_weights(
+    sample_a: SurveySample,
+    design_spec: DesignSpec,
+    L: int,
+    seed: int,
+) -> np.ndarray:
+    """Rescaling-bootstrap replication weights, one column per replicate."""
+    blocks = _weight_blocks(sample_a, design_spec, L, seed)
+    out = np.empty((sample_a.n, L))
+    for cols, weights in blocks:
+        out[:, cols] = weights
     return out
 
 
@@ -329,12 +371,15 @@ def sample_a_replicates(
 ) -> ReplicateSet:
     """The replicate set of the L x p refitted coefficients ``betas``
     (:func:`bootstrap_refit`): sample A's replicate weights, paired with its
-    imputations under each replicate's coefficients.  It needs nothing of
-    sample B, so a caller may release B before it runs."""
+    imputations under each replicate's coefficients, filled from
+    :func:`replicate_blocks`.  It needs nothing of sample B, so a caller may
+    release B before it runs."""
     base = predict_all(model, design_a)
-    rep_w = replicate_weights(sample_a, design_spec, len(betas), seed)
-    # column k of imputations comes from replicate k's coefficients only
-    rep_yhat = mean_values(model.family, design_a.values, betas.T)
+    blocks = replicate_blocks(model, sample_a, design_a, design_spec, betas, seed)
+    shape = (sample_a.n, len(betas))
+    rep_w, rep_yhat = np.empty(shape), np.empty(shape)
+    for cols, weights, imputations in blocks:
+        rep_w[:, cols], rep_yhat[:, cols] = weights, imputations
     return ReplicateSet(
         L=len(betas),
         replicate_weights=rep_w,
@@ -345,11 +390,69 @@ def sample_a_replicates(
     )
 
 
+def replicate_blocks(
+    model: FittedModel,
+    sample_a: SurveySample,
+    design_a: DesignMatrix,
+    design_spec: DesignSpec,
+    betas: np.ndarray,
+    seed: int,
+):
+    """Sample A's replicate columns for the L x p refitted coefficients
+    ``betas``, one draw group at a time: an iterator of (columns, weights,
+    imputations), each an n_A x b block of the columns' slice; the next
+    block overwrites the weights.  Column k of the imputations comes from
+    replicate k's coefficients only, and its bits do not depend on the block
+    (:func:`~massimpute.mean_model.mean_values`)."""
+    return (
+        (cols, weights, mean_values(model.family, design_a.values, betas[cols].T))
+        for cols, weights in _weight_blocks(sample_a, design_spec, len(betas), seed)
+    )
+
+
+def _column_totals(weights: np.ndarray, imputations: np.ndarray, L: int) -> np.ndarray:
+    """The weighted imputation totals of an n x b block of L replicate
+    columns, each column's rows added in order as numpy adds them in a
+    C-order n x L product.  numpy sums a lone column pairwise, so a lone
+    column of several is summed beside a copy of itself."""
+    products = np.multiply(weights, imputations, order="C")
+    if products.shape[1] == 1 < L:
+        products = np.repeat(products, 2, axis=1)
+    return np.sum(products, axis=0)[: weights.shape[1]]
+
+
+def sample_a_estimates(
+    model: FittedModel,
+    sample_a: SurveySample,
+    design_a: DesignMatrix,
+    design_spec: DesignSpec,
+    betas: np.ndarray,
+    seed: int,
+    population_size: float,
+) -> np.ndarray:
+    """``replicate_estimates(sample_a_replicates(...), population_size)``
+    bit for bit, each block of :func:`replicate_blocks` reduced to its
+    estimates as it is built, so no n_A x L array exists."""
+    L = len(betas)
+    totals = np.empty(L)
+    for cols, weights, imputations in replicate_blocks(
+            model, sample_a, design_a, design_spec, betas, seed):
+        totals[cols] = _column_totals(weights, imputations, L)
+    return totals / population_size
+
+
 def replicate_estimates(replicate_set, population_size: float) -> np.ndarray:
     """Replicate point estimates: weighted imputation totals over N, for a
-    :class:`ReplicateSet` or an :class:`AugmentedDataset`."""
-    products = replicate_set.replicate_weights * replicate_set.replicate_imputations
-    return np.sum(products, axis=0) / population_size
+    :class:`ReplicateSet` or an :class:`AugmentedDataset`, summed a block of
+    columns at a time."""
+    w, y = replicate_set.replicate_weights, replicate_set.replicate_imputations
+    n, L = w.shape
+    totals = np.empty(L)
+    width = max(1, _DRAW_CELLS // max(n - 1, 1))  # a draw group's columns
+    for start in range(0, L, width):
+        cols = slice(start, start + width)
+        totals[cols] = _column_totals(w[:, cols], y[:, cols], L)
+    return totals / population_size
 
 
 def bootstrap_variance(theta_hat: float, replicate_values: np.ndarray) -> float:

@@ -14,6 +14,13 @@ product that feeds it, runs over consecutive blocks of at most
 holds an n-unit temporary, a design of one block is summed as the whole
 array bit for bit, and as the block is einsum's buffer, einsum sums a lone
 row as it sums a row of many, which it does not over more units.
+
+A p x k coefficient matrix, such as the bootstrap's refits, is multiplied
+by ``np.einsum`` without ``optimize``, not by BLAS: BLAS gives a column other
+bits when fewer columns share the call (a lone column goes to another
+kernel), while einsum's per-column products do not depend on the column
+count, so a replicate's predictions are the same in any block of
+replicates.  A single coefficient vector keeps ``X @ beta``.
 """
 
 from __future__ import annotations
@@ -91,14 +98,17 @@ def _clipped_exp(eta: np.ndarray) -> np.ndarray:
 
 
 def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Vectorized m(x; beta) over the rows of X."""
+    """Vectorized m(x; beta) over the rows of X; for a p x k ``beta``, one
+    column per coefficient vector, multiplied by einsum (see the module
+    docstring)."""
     beta = np.asarray(beta, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != beta.shape[0]:
         raise DimensionMismatch(
             f"design has {X.shape[-1]} columns but beta has {beta.shape[0]}"
         )
-    return _inverse_link(family, X @ beta)
+    eta = X @ beta if beta.ndim == 1 else np.einsum("np,pk->nk", X, beta)
+    return _inverse_link(family, eta)
 
 
 def _inverse_link(family: ModelFamily, eta: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__
-from .bootstrap import bootstrap_variance, build_replicates, replicate_estimates
+from .bootstrap import bootstrap_refit, bootstrap_variance, sample_a_estimates
 from .data_model import (
     SampleKind,
     SurveySample,
@@ -213,18 +213,12 @@ def _run_one_rep(population: Population, config: SimConfig, rep: int) -> dict:
     )
     out["v_lin"] = lin.v_total
 
-    if config.bootstrap_L > 0:
-        reps_set = build_replicates(
-            model,
-            sample_a,
-            sample_b,
-            design_a,
-            design_b,
-            design_spec,
-            config.bootstrap_L,
-            int(_rep_seed(config.master_seed, rep, 2).generate_state(1)[0]),
-        )
-        thetas = replicate_estimates(reps_set, N)
+    L = config.bootstrap_L
+    if L > 0:
+        seed = int(_rep_seed(config.master_seed, rep, 2).generate_state(1)[0])
+        betas, _ = bootstrap_refit(sample_b, model.family, design_b, L, seed)
+        thetas = sample_a_estimates(model, sample_a, design_a, design_spec, betas,
+                                    seed, N)
         out["v_boot"] = bootstrap_variance(out["theta_i"], thetas)
     return out
 
@@ -281,7 +275,7 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
                 out.append(None)
         return out
 
-    # a rep's refits run in its own process: build_replicates' workers=1
+    # a rep's refits run in its own process: bootstrap_refit's workers=1
     kept = [r for part in fork_map(run_reps, config.reps, config.threads)
             for r in part if r is not None]
     failed = config.reps - len(kept)

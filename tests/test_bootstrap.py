@@ -1,6 +1,7 @@
 """Replicate weights, refits, pairing, variance, and the release file."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from massimpute.bootstrap import (
     _draw_counts,
     _replay,
     _streams,
+    sample_a_estimates,
+    sample_a_replicates,
 )
 from massimpute.errors import (
     ColumnMismatch,
@@ -375,13 +378,18 @@ class TestQuasiScoreRefitOracle:
 class TestPrefixStability:
     """Earlier replicate columns do not change when L grows."""
 
-    def test_refit_and_replicate_columns(self, rng):
+    @pytest.fixture
+    def linear_ab(self, rng):
         x_b = rng.normal(2, 1, size=5000)
         sample_b, design_b = _linear_b(x_b, 1 + 2 * x_b + rng.normal(size=5000))
         model = fit_model(ModelFamily.LINEAR, sample_b, design_b)
         x_a = rng.normal(2, 1, size=2000)
         sample_a = make_sample_a(x_a, np.full(2000, 25.0))
         design_a = build_design_matrix(sample_a, ("x",), intercept=True)
+        return model, sample_a, sample_b, design_a, design_b
+
+    def test_refit_and_replicate_columns(self, linear_ab):
+        model, sample_a, sample_b, design_a, design_b = linear_ab
         short, long = (
             build_replicates(model, sample_a, sample_b, design_a, design_b,
                              srs_design(50_000.0), L=L, seed=7)
@@ -394,6 +402,23 @@ class TestPrefixStability:
         betas_100, _ = bootstrap_refit(sample_b, ModelFamily.LINEAR, design_b, L=100,
                                        seed=7)
         assert np.array_equal(betas_100[:8], betas_8)
+
+    def test_one_replicate(self, linear_ab):
+        # the p x n design's transpose, the layout the CLI passes; a product
+        # by BLAS predicts a lone column by another kernel than a column of
+        # several
+        model, sample_a, sample_b, design_a, design_b = linear_ab
+        assert design_a.values.flags.f_contiguous
+        one, two, hundred = (
+            build_replicates(model, sample_a, sample_b, design_a, design_b,
+                             srs_design(50_000.0), L=L, seed=7)
+            for L in (1, 2, 100)
+        )
+        for longer in (two, hundred):
+            assert np.array_equal(longer.replicate_imputations[:, :1],
+                                  one.replicate_imputations)
+            assert np.array_equal(longer.replicate_weights[:, :1],
+                                  one.replicate_weights)
 
     def test_with_redraws(self):
         x = np.array([1.0, 0.0, 0.0, 0.0])
@@ -565,6 +590,62 @@ class TestBuildReplicates:
             )
 
 
+class TestSampleAEstimates:
+    """The Monte Carlo's replicate estimates, reduced a draw group of
+    columns at a time, are those of the whole n_A x L replicate set."""
+
+    n_a = 500
+    b = _DRAW_CELLS // (n_a - 1)  # columns per block
+
+    @pytest.fixture(params=[ModelFamily.LINEAR, ModelFamily.LOGISTIC])
+    def fitted(self, request, rng):
+        family = request.param
+        x_b = rng.normal(2, 1, size=500)
+        if family is ModelFamily.LINEAR:
+            y_b = 1 + 2 * x_b + rng.normal(size=500)
+        else:
+            y_b = (rng.random(500) < 1 / (1 + np.exp(2 - x_b))).astype(float)
+        sample_b, design_b = _linear_b(x_b, y_b)
+        model = fit_model(family, sample_b, design_b)
+        betas, _ = bootstrap_refit(sample_b, family, design_b, L=500, seed=3)
+        x_a = rng.normal(2, 1, size=self.n_a)
+        sample_a = make_sample_a(x_a, np.full(self.n_a, 40.0))
+        design_a = build_design_matrix(sample_a, ("x",), intercept=True)
+        return model, sample_a, design_a, betas
+
+    def test_equal_estimates_of_the_whole_set(self, fitted):
+        model, sample_a, design_a, betas = fitted
+        N, spec = 20_000.0, srs_design(20_000.0)
+        for L in (1, 2, self.b - 1, self.b, self.b + 1, 500):
+            whole = sample_a_replicates(model, sample_a, design_a, spec, betas[:L], 9)
+            expected = replicate_estimates(whole, N)
+            products = whole.replicate_weights * whole.replicate_imputations
+            assert np.array_equal(expected, np.sum(products, axis=0) / N)
+            found = sample_a_estimates(model, sample_a, design_a, spec, betas[:L], 9, N)
+            assert np.array_equal(found, expected), L
+
+    def test_peak_does_not_grow_with_L(self, rng):
+        x_a = rng.normal(2, 1, size=self.n_a)
+        sample_a = make_sample_a(x_a, np.full(self.n_a, 40.0))
+        design_a = build_design_matrix(sample_a, ("x",), intercept=True)
+        model = fit_model(ModelFamily.LINEAR, *_linear_b(x_a, 1 + 2 * x_a))
+        spec = srs_design(20_000.0)
+        peaks = {}
+        for L in (500, 4000):
+            betas = model.beta_hat + rng.normal(0, 0.1, size=(L, 2))
+            sample_a_estimates(model, sample_a, design_a, spec, betas, 9, 20_000.0)
+            tracemalloc.start()
+            try:
+                sample_a_estimates(model, sample_a, design_a, spec, betas, 9, 20_000.0)
+                peaks[L] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # only length-L arrays grow: the totals, the estimates and the hash of
+        # the replicates' stream seeds (about 150 bytes a replicate); one
+        # n_A x L array would add 14 MB
+        assert peaks[4000] - peaks[500] < 256 * 3500
+
+
 class TestAugmentedFile:
     def test_shape(self, tmp_path, rng):
         model, sample_a, sample_b, design_a, design_b = _small_setup(rng, n_a=3)
@@ -603,6 +684,21 @@ class TestAugmentedFile:
         v_file = bootstrap_variance(theta_file, replicate_estimates(dataset, N_file))
         assert theta_file == pytest.approx(theta, abs=1e-12)
         assert v_file == pytest.approx(v_mem, abs=1e-12)
+
+    @pytest.mark.parametrize("L", [1, 2, _DRAW_CELLS // 499 + 1])
+    def test_estimates_from_strided_columns(self, tmp_path, rng, L):
+        # the file's replicate columns are strided views of one row-major
+        # block; with n_A = 500 and L = b + 1 the last block is a lone column
+        model, sample_a, sample_b, design_a, design_b = _small_setup(rng, n_a=500)
+        reps = build_replicates(model, sample_a, sample_b, design_a, design_b,
+                                srs_design(50_000.0), L=L, seed=6)
+        path = tmp_path / "aug.csv"
+        write_augmented_dataset(sample_a, reps, model, path, population_size=50_000.0)
+        dataset = read_augmented_dataset(path)
+        w, y = dataset.replicate_weights, dataset.replicate_imputations
+        assert not w.flags.c_contiguous and not y.flags.c_contiguous
+        assert np.array_equal(replicate_estimates(dataset, 50_000.0),
+                              np.sum(w * y, axis=0) / 50_000.0)
 
     def test_byte_identical_regeneration(self, tmp_path, rng):
         model, sample_a, sample_b, design_a, design_b = _small_setup(rng)

@@ -257,6 +257,24 @@ class TestBootstrapCommand:
         assert manifest["redraws"] == redraws
 
 
+    def test_first_replicate_columns_do_not_depend_on_L(self, tmp_path, rng):
+        x_b = rng.normal(2, 1, size=500)
+        train = _write_b(tmp_path / "b.csv", x_b, 1 + 2 * x_b + rng.normal(size=500))
+        sample_a = _write_a(tmp_path / "a.csv", rng.normal(2, 1, size=2000),
+                            np.full(2000, 500.0))
+        first = {}
+        for L in ("1", "2"):
+            out = tmp_path / f"release_{L}.csv"
+            assert run_cli([
+                "bootstrap", "--train", str(train), "--response", "y",
+                "--covariates", "x", "--sample-a", str(sample_a), "--weight", "w",
+                "--L", L, "--seed", "851", "--out", str(out),
+            ]) == 0
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            first[L] = [(row["w_rep_1"], row["yhat_rep_1"]) for row in rows]
+        assert first["1"] == first["2"]
+
     @pytest.mark.parametrize("family, response", [("linear", "y"), ("logistic", "z")])
     def test_sample_b_released_before_sample_a_replicates(
             self, pipeline_files, monkeypatch, rng, family, response):
@@ -273,12 +291,13 @@ class TestBootstrapCommand:
             held.extend(weakref.ref(v) for v in (sample_b, design_b, sample_b.design_rows))
             return _refit(sample_b, family, design_b, *args)
 
-        def weights(*args, _weights=bootstrap.replicate_weights):
+        # sample A's replicate weights and imputations come from replicate_blocks
+        def blocks(*args, _blocks=bootstrap.replicate_blocks):
             alive.append([ref() is not None for ref in held])
-            return _weights(*args)
+            return _blocks(*args)
 
         monkeypatch.setattr(cli, "bootstrap_refit", refit)
-        monkeypatch.setattr(bootstrap, "replicate_weights", weights)
+        monkeypatch.setattr(bootstrap, "replicate_blocks", blocks)
         out = pipeline_files["dir"] / "aug.csv"
         assert run_cli([
             "bootstrap", "--train", str(train), "--response", response,

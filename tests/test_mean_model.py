@@ -17,6 +17,7 @@ from massimpute.errors import (
     RankDeficient,
     Separation,
 )
+from massimpute.bootstrap import _DRAW_CELLS
 from massimpute.mean_model import FittedModel, mean_gradients, mean_values
 
 from conftest import make_sample_b
@@ -45,6 +46,23 @@ class TestMeanValue:
         with pytest.warns(OverflowGuardWarning):
             value = mean_values(ModelFamily.LOGISTIC, [[-1000.0]], [1.0])[0]
         assert 0.0 <= value <= 1.0
+
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_coefficient_columns_do_not_depend_on_width(self, p, order):
+        # the bootstrap predicts sample A a block of b replicates at a time
+        rng = np.random.default_rng(p)
+        n, L = 2000, 200
+        b = _DRAW_CELLS // (n - 1)
+        X = np.asarray(rng.normal(2, 1, size=(n, p)), order=order)
+        X[:, 0] = 1.0
+        betas = rng.normal(size=(L, p))
+        whole = mean_values(ModelFamily.LINEAR, X, betas.T)
+        for w in (1, 2, 3, b - 1, b, b + 1, 64, 65):
+            for s in (0, 7, L - w):
+                part = mean_values(ModelFamily.LINEAR, X, betas[s : s + w].T)
+                assert np.array_equal(part, whole[:, s : s + w]), (w, s)
 
 
 class TestMeanGradient:

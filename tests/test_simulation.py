@@ -1,5 +1,7 @@
 """Population generation, sampling draws, and the Monte Carlo driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,15 @@ from massimpute import (
     Population,
     PopulationSpec,
     SimConfig,
+    bootstrap_variance,
+    build_replicates,
     draw_srs,
     draw_stratified_b,
     generate_population,
+    replicate_estimates,
     run_monte_carlo,
 )
+from massimpute import simulation
 from massimpute.errors import (
     NumericalError,
     SampleTooLarge,
@@ -172,3 +178,50 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(simulation, "_run_one_rep", first_rep_only)
         with pytest.raises(NumericalError, match="1 of 8"):
             run_monte_carlo(self._config())
+
+
+class TestPaperRep:
+    """One rep of the paper's configuration: model I, n_A = n_B = 500."""
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        return generate_population(PopulationSpec("I", 100_000, 3))
+
+    @pytest.mark.parametrize("L", [1, 2, 66, 500])
+    def test_bootstrap_variance_of_the_whole_replicate_set(
+            self, population, monkeypatch, L):
+        # the rep reduces sample A's replicate columns a draw group (65
+        # columns at n_A = 500) at a time; its variance is that of the
+        # whole n_A x L replicate set, bit for bit
+        calls = {}
+
+        def recording(name):
+            def call(*args, _fn=getattr(simulation, name)):
+                calls[name] = args
+                return _fn(*args)
+            monkeypatch.setattr(simulation, name, call)
+
+        recording("bootstrap_refit")
+        recording("sample_a_estimates")
+        config = SimConfig(model_id="I", bootstrap_L=L, master_seed=3, reps=2)
+        out = simulation._run_one_rep(population, config, 4)
+        sample_b, _, design_b, _, seed = calls["bootstrap_refit"]
+        model, sample_a, design_a, spec, _, _, N = calls["sample_a_estimates"]
+        whole = build_replicates(model, sample_a, sample_b, design_a, design_b, spec,
+                                 L, seed)
+        assert out["v_boot"] == bootstrap_variance(out["theta_i"],
+                                                   replicate_estimates(whole, N))
+
+    def test_peak_memory(self, population):
+        # no n_A x L array: the refits' 500 x 500 count block sets the peak,
+        # about 2.9 MiB (5.8 MiB with the weights, the imputations and their
+        # product held whole)
+        config = SimConfig(model_id="I", master_seed=3, reps=2)
+        simulation._run_one_rep(population, config, 0)
+        tracemalloc.start()
+        try:
+            simulation._run_one_rep(population, config, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
