@@ -45,8 +45,10 @@ Carlo reduces each block straight to its replicate estimates
 (:func:`sample_a_estimates`), so no n_A x L array exists in a rep, and the
 ``bootstrap`` command fills the n_A x L release columns from them
 (:func:`sample_a_replicates`).  A block's sum over units adds each column's
-rows in order, as numpy sums a column of a C-order n_A x L product, so the
-estimates are those of the whole product bit for bit.
+rows in order, as numpy sums the columns of a C-order n_A x L product, and a
+lone column is summed beside a copy of itself, since numpy sums one column
+pairwise.  So the estimates are those of the whole product bit for bit,
+and replicate k's estimate does not depend on L, L = 1 included.
 
 Linear refits go in blocks of about 2^20 resample counts to
 :func:`~massimpute.mean_model.least_squares`, the full-sample fit's normal
@@ -410,13 +412,13 @@ def replicate_blocks(
     )
 
 
-def _column_totals(weights: np.ndarray, imputations: np.ndarray, L: int) -> np.ndarray:
-    """The weighted imputation totals of an n x b block of L replicate
+def _column_totals(weights: np.ndarray, imputations: np.ndarray) -> np.ndarray:
+    """The weighted imputation totals of an n x b block of replicate
     columns, each column's rows added in order as numpy adds them in a
-    C-order n x L product.  numpy sums a lone column pairwise, so a lone
-    column of several is summed beside a copy of itself."""
+    C-order n x b product of two columns or more.  numpy sums a lone column
+    pairwise, so a lone column is summed beside a copy of itself."""
     products = np.multiply(weights, imputations, order="C")
-    if products.shape[1] == 1 < L:
+    if products.shape[1] == 1:
         products = np.repeat(products, 2, axis=1)
     return np.sum(products, axis=0)[: weights.shape[1]]
 
@@ -433,11 +435,10 @@ def sample_a_estimates(
     """``replicate_estimates(sample_a_replicates(...), population_size)``
     bit for bit, each block of :func:`replicate_blocks` reduced to its
     estimates as it is built, so no n_A x L array exists."""
-    L = len(betas)
-    totals = np.empty(L)
+    totals = np.empty(len(betas))
     for cols, weights, imputations in replicate_blocks(
             model, sample_a, design_a, design_spec, betas, seed):
-        totals[cols] = _column_totals(weights, imputations, L)
+        totals[cols] = _column_totals(weights, imputations)
     return totals / population_size
 
 
@@ -451,7 +452,7 @@ def replicate_estimates(replicate_set, population_size: float) -> np.ndarray:
     width = max(1, _DRAW_CELLS // max(n - 1, 1))  # a draw group's columns
     for start in range(0, L, width):
         cols = slice(start, start + width)
-        totals[cols] = _column_totals(w[:, cols], y[:, cols], L)
+        totals[cols] = _column_totals(w[:, cols], y[:, cols])
     return totals / population_size
 
 

@@ -15,12 +15,14 @@ holds an n-unit temporary, a design of one block is summed as the whole
 array bit for bit, and as the block is einsum's buffer, einsum sums a lone
 row as it sums a row of many, which it does not over more units.
 
-A p x k coefficient matrix, such as the bootstrap's refits, is multiplied
-by ``np.einsum`` without ``optimize``, not by BLAS: BLAS gives a column other
-bits when fewer columns share the call (a lone column goes to another
-kernel), while einsum's per-column products do not depend on the column
-count, so a replicate's predictions are the same in any block of
-replicates.  A single coefficient vector keeps ``X @ beta``.
+Every product of a design with coefficients, one vector or a p x k matrix
+such as the bootstrap's refits, is ``np.einsum`` without ``optimize``
+(:func:`mean_values`), never BLAS: BLAS gives a column other bits when fewer
+columns share the call (a lone column goes to another kernel), while
+einsum's per-column products do not depend on the column count, and a
+vector's equal the column of a matrix that holds it.  So a replicate's
+predictions are the same in any block of replicates, and a replicate whose
+coefficients equal the full-sample fit's predicts exactly what the fit does.
 """
 
 from __future__ import annotations
@@ -99,16 +101,16 @@ def _clipped_exp(eta: np.ndarray) -> np.ndarray:
 
 def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Vectorized m(x; beta) over the rows of X; for a p x k ``beta``, one
-    column per coefficient vector, multiplied by einsum (see the module
-    docstring)."""
-    beta = np.asarray(beta, dtype=float)
+    column per coefficient vector, by the product rule of the module
+    docstring.  ``beta``'s columns are made contiguous: against a row-major
+    X, einsum adds a row's products in another order when they are not."""
+    beta = np.asarray(beta, dtype=float, order="F")
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != beta.shape[0]:
         raise DimensionMismatch(
             f"design has {X.shape[-1]} columns but beta has {beta.shape[0]}"
         )
-    eta = X @ beta if beta.ndim == 1 else np.einsum("np,pk->nk", X, beta)
-    return _inverse_link(family, eta)
+    return _inverse_link(family, np.einsum("np,p...->n...", X, beta))
 
 
 def _inverse_link(family: ModelFamily, eta: np.ndarray) -> np.ndarray:
@@ -214,9 +216,9 @@ def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
 
 def _block_means(family: ModelFamily, XT: np.ndarray, beta: np.ndarray):
     """Yield each unit block of the p x n design ``XT`` with m(x; beta) on
-    it, the linear predictor summed by einsum."""
+    it."""
     for block in unit_blocks(XT.shape[1]):
-        yield block, _inverse_link(family, np.einsum("in,i->n", XT[:, block], beta))
+        yield block, mean_values(family, XT[:, block].T, beta)
 
 
 def _check_separation(family: ModelFamily, XT: np.ndarray, beta: np.ndarray) -> None:
@@ -349,11 +351,7 @@ def least_squares(design: DesignMatrix, y: np.ndarray):
                     gammas[j] = np.linalg.solve(gram[j], rhs[j])[:, 0]
                 except np.linalg.LinAlgError:
                     ok[j] = False
-        # BLAS maps a lone row back by another kernel than a row of several,
-        # so a lone row of counts is mapped back beside a copy of itself
-        if counts is not None and k == 1:
-            return (np.repeat(gammas, 2, axis=0) @ back)[:1], ok
-        return gammas @ back, ok
+        return np.einsum("kp,pq->kq", gammas, back), ok
 
     return solve
 
@@ -376,9 +374,8 @@ def fit_model(
         raise RankDeficient()
     if family is ModelFamily.LINEAR:
         beta, iterations = betas[0], 1
-        score = unit_sum(
-            n, lambda block: np.einsum("in,n->i", X.T[:, block], y[block] - X[block] @ beta)
-        )
+        score = unit_sum(n, lambda block: np.einsum(
+            "in,n->i", X.T[:, block], y[block] - mean_values(family, X[block], beta)))
         norm = float(np.max(np.abs(score / n)))
     else:
         beta, iterations, norm = solve_quasi_score(family, X, y)

@@ -98,7 +98,7 @@ def variance_component_b(
 
     def squares(block: slice) -> float:
         resid = y[block] - mean_values(model.family, X[block], model.beta_hat)
-        g = X[block] @ c_hat
+        g = np.einsum("np,p->n", X[block], c_hat)
         return np.sum(resid**2 * g**2)
 
     return float(unit_sum(len(X), squares) / population_size**2)
@@ -113,15 +113,24 @@ def _exact_joint_srs(z: np.ndarray, pi: float, pij: float, N: float) -> float:
     return ((1.0 - pi) * s2 + off * (s1 * s1 - s2)) / N**2
 
 
+def strategy_a(design_spec: DesignSpec) -> VarianceStrategyA:
+    """Sample A's variance form: exact wherever the design supplies joint
+    inclusion probabilities (SRS and a joint table), the with-replacement
+    form otherwise."""
+    if design_spec.design in (DesignKind.SRS_WOR, DesignKind.JOINT_PROBABILITIES):
+        return VarianceStrategyA.EXACT_JOINT
+    return VarianceStrategyA.PPSWR_APPROX
+
+
 def variance_component_a(
     model: FittedModel,
     sample_a: SurveySample,
     design_a: DesignMatrix,
     design_spec: DesignSpec,
-    strategy: VarianceStrategyA,
     population_size: float,
 ) -> float:
-    """Design component: variance of the weighted prediction total.
+    """Design component: variance of the weighted prediction total, in the
+    form :func:`strategy_a` chooses.
 
     EXACT_JOINT evaluates the double-sum estimator with joint inclusion
     probabilities (closed form under SRS); PPSWR_APPROX uses the
@@ -133,25 +142,20 @@ def variance_component_a(
     n = len(z)
     N = population_size
 
-    if strategy is VarianceStrategyA.PPSWR_APPROX:
+    if strategy_a(design_spec) is VarianceStrategyA.PPSWR_APPROX:
         zbar = np.mean(z)
         return float(n / (n - 1) * np.sum((z - zbar) ** 2) / N**2)
-
     if design_spec.design is DesignKind.SRS_WOR:
         pi, pij = design_spec.srs_probabilities(n)
         return _exact_joint_srs(z, pi, pij, N)
-    if design_spec.design is DesignKind.JOINT_PROBABILITIES:
-        pij = design_spec.joint_probabilities
-        if pij.shape[0] != n:
-            raise MissingJointProbabilities(
-                f"joint table is {pij.shape[0]}x{pij.shape[0]} but sample has {n} rows"
-            )
-        pi = np.diag(pij)
-        delta = (pij - np.outer(pi, pi)) / pij
-        return float(np.einsum("i,ij,j->", z, delta, z) / N**2)
-    raise MissingJointProbabilities(
-        f"design {design_spec.design.value} does not supply joint probabilities"
-    )
+    pij = design_spec.joint_probabilities
+    if pij.shape[0] != n:
+        raise MissingJointProbabilities(
+            f"joint table is {pij.shape[0]}x{pij.shape[0]} but sample has {n} rows"
+        )
+    pi = np.diag(pij)
+    delta = (pij - np.outer(pi, pi)) / pij
+    return float(np.einsum("i,ij,j->", z, delta, z) / N**2)
 
 
 def linearized_variance(
@@ -164,14 +168,9 @@ def linearized_variance(
     population_size: float,
 ) -> LinearizationComponents:
     """Both components; sample A's is exact wherever the design supplies
-    joint inclusion probabilities and the with-replacement form otherwise."""
-    if design_spec.design in (DesignKind.SRS_WOR, DesignKind.JOINT_PROBABILITIES):
-        strategy = VarianceStrategyA.EXACT_JOINT
-    else:
-        strategy = VarianceStrategyA.PPSWR_APPROX
+    joint inclusion probabilities and the with-replacement form otherwise
+    (:func:`strategy_a`)."""
     c_hat = compute_c_hat(model, sample_a, design_a, design_b)
     v_b = variance_component_b(model, sample_b, design_b, c_hat, population_size)
-    v_a = variance_component_a(
-        model, sample_a, design_a, design_spec, strategy, population_size
-    )
-    return LinearizationComponents(v_a=v_a, v_b=v_b, strategy_a=strategy)
+    v_a = variance_component_a(model, sample_a, design_a, design_spec, population_size)
+    return LinearizationComponents(v_a=v_a, v_b=v_b, strategy_a=strategy_a(design_spec))

@@ -5,7 +5,9 @@ alone, so :func:`fork_map` splits ``range(units)`` into contiguous ranges,
 runs each in a process forked from the caller, which inherits its data
 without pickling, and returns the results in range order: the same values
 for any worker count.  It runs serially, in the caller, for one worker,
-off Linux, and in a daemonic process.
+off Linux, and in a daemonic process.  A worker leaves the BLAS library's
+thread count as it is: no product of a design with coefficients, and no sum
+over units, goes through BLAS (:mod:`.mean_model`).
 """
 
 from __future__ import annotations
@@ -34,41 +36,7 @@ def split(units: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-# the thread-count setters of the OpenBLAS builds numpy links: its own, its
-# 64-bit-index build, and the scipy-openblas builds that numpy wheels bundle
-_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads",
-                     "scipy_openblas_set_num_threads64_")
-
-
-def _one_blas_thread() -> None:
-    """Give a loaded OpenBLAS one thread in this process.  Each worker has a
-    CPU of its own, and OpenBLAS's threads in every worker would fight over
-    them: at n_B = 200k two workers ran a logistic bootstrap slower than one
-    process.  No output depends on the BLAS thread count.  Other BLAS
-    libraries, and systems without ``/proc``, are left as they are."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(library, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
-
 def _child(fn, indices: range, conn) -> None:
-    _one_blas_thread()
     try:
         outcome = True, fn(indices)
     except Exception as exc:
@@ -79,20 +47,19 @@ def _child(fn, indices: range, conn) -> None:
 def fork_map(fn, units: int, threads: int) -> list:
     """``[fn(r) for r in split(units, workers)]``, where ``workers`` is
     :func:`worker_count`.  With more than one worker each range runs in a
-    process of its own, forked from this one, with one OpenBLAS thread; this
-    process only waits, so the work does not raise its own memory peak.
-    ``fn`` needs no pickling, its results and exceptions do.  An exception is
-    raised from the first range that raised one, as the serial loop would; a
-    worker that ends without a result (killed, say) raises
-    ``ChildProcessError``.
+    process of its own, forked from this one; this process only waits, so
+    the work does not raise its own memory peak.  ``fn`` needs no pickling,
+    its results and exceptions do.  An exception is raised from the first
+    range that raised one, as the serial loop would; a worker that ends
+    without a result (killed, say) raises ``ChildProcessError``.
     """
     ranges = split(units, worker_count(threads, units))
     if len(ranges) == 1:
         return [fn(ranges[0])]
     import multiprocessing
 
-    # forking is safe where glibc and OpenBLAS are underneath, not under the
-    # system frameworks macOS's numpy may link; a daemonic process, such as a
+    # forking is safe on Linux's libraries, not under the system frameworks
+    # macOS's numpy may link; a daemonic process, such as a
     # worker of a multiprocessing pool, may not start processes of its own
     if (not sys.platform.startswith("linux")
             or multiprocessing.current_process().daemon):

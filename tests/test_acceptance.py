@@ -34,7 +34,6 @@ from massimpute import (
 )
 from massimpute.bootstrap import bootstrap_variance
 from massimpute.mean_model import FittedModel, mean_gradients, mean_values
-from massimpute.variance import VarianceStrategyA
 
 from conftest import make_sample_a, make_sample_b
 
@@ -143,8 +142,7 @@ def test_criterion_5_exhaustive_design_oracles():
         )
         variances.append(
             variance_component_a(
-                model, sample, design, srs_design(N),
-                VarianceStrategyA.EXACT_JOINT, N,
+                model, sample, design, srs_design(N), N,
             )
         )
     assert np.mean(means) == pytest.approx(truth_mean, abs=1e-12)
@@ -174,8 +172,7 @@ def test_criterion_6_analytic_identities(rng):
             weight_name="w",
         )
         v = variance_component_a(
-            model, sample, design, srs_design(N),
-            VarianceStrategyA.EXACT_JOINT, N,
+            model, sample, design, srs_design(N), N,
         )
         textbook = (1 - n / N) * np.var(m, ddof=1) / n
         assert v == pytest.approx(textbook, abs=1e-10 * max(1.0, textbook))

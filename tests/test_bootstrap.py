@@ -404,9 +404,8 @@ class TestPrefixStability:
         assert np.array_equal(betas_100[:8], betas_8)
 
     def test_one_replicate(self, linear_ab):
-        # the p x n design's transpose, the layout the CLI passes; a product
-        # by BLAS predicts a lone column by another kernel than a column of
-        # several
+        # the p x n design's transpose, the layout the CLI passes; a lone
+        # column must be predicted as a column of several
         model, sample_a, sample_b, design_a, design_b = linear_ab
         assert design_a.values.flags.f_contiguous
         one, two, hundred = (
@@ -419,6 +418,21 @@ class TestPrefixStability:
                                   one.replicate_imputations)
             assert np.array_equal(longer.replicate_weights[:, :1],
                                   one.replicate_weights)
+
+    def test_one_replicate_estimate(self, linear_ab):
+        # numpy sums a lone column pairwise and the columns of a wider block
+        # row by row; replicate 1's estimate must not tell L = 1 from L = 2
+        model, sample_a, _, design_a, design_b = linear_ab
+        spec, N = srs_design(50_000.0), 50_000.0
+        betas = model.beta_hat + np.array([[0.01, -0.02], [0.03, 0.01]])
+        for seed in (7, 8, 9):
+            for estimates in (
+                lambda L: replicate_estimates(sample_a_replicates(
+                    model, sample_a, design_a, spec, betas[:L], seed), N),
+                lambda L: sample_a_estimates(
+                    model, sample_a, design_a, spec, betas[:L], seed, N),
+            ):
+                assert estimates(1)[0] == estimates(2)[0], seed
 
     def test_with_redraws(self):
         x = np.array([1.0, 0.0, 0.0, 0.0])
@@ -620,7 +634,8 @@ class TestSampleAEstimates:
             whole = sample_a_replicates(model, sample_a, design_a, spec, betas[:L], 9)
             expected = replicate_estimates(whole, N)
             products = whole.replicate_weights * whole.replicate_imputations
-            assert np.array_equal(expected, np.sum(products, axis=0) / N)
+            # each column's rows added in order, a lone column's too
+            assert np.array_equal(expected, np.cumsum(products, axis=0)[-1] / N)
             found = sample_a_estimates(model, sample_a, design_a, spec, betas[:L], 9, N)
             assert np.array_equal(found, expected), L
 
@@ -698,7 +713,7 @@ class TestAugmentedFile:
         w, y = dataset.replicate_weights, dataset.replicate_imputations
         assert not w.flags.c_contiguous and not y.flags.c_contiguous
         assert np.array_equal(replicate_estimates(dataset, 50_000.0),
-                              np.sum(w * y, axis=0) / 50_000.0)
+                              np.cumsum(w * y, axis=0)[-1] / 50_000.0)
 
     def test_byte_identical_regeneration(self, tmp_path, rng):
         model, sample_a, sample_b, design_a, design_b = _small_setup(rng)

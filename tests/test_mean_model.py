@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from massimpute import (
+    DesignMatrix,
     ModelFamily,
     build_design_matrix,
     fit_model,
@@ -63,6 +64,29 @@ class TestMeanValue:
             for s in (0, 7, L - w):
                 part = mean_values(ModelFamily.LINEAR, X, betas[s : s + w].T)
                 assert np.array_equal(part, whole[:, s : s + w]), (w, s)
+
+    @pytest.mark.parametrize("family", [ModelFamily.LINEAR, ModelFamily.LOGISTIC])
+    @pytest.mark.parametrize("p", [2, 4, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_base_predictions_are_a_replicate_column(self, family, p, order):
+        # sample A's imputations and a replicate's whose coefficients equal
+        # beta_hat take one product rule, whatever the layout or width
+        rng = np.random.default_rng(10 + p)
+        n = 2000
+        X = np.asarray(rng.normal(2, 1, size=(n, p)), order=order)
+        X[:, 0] = 1.0
+        names = tuple(f"x{j}" for j in range(p))
+        beta = rng.normal(0, 0.3, size=p)
+        model = FittedModel(family, beta, names, True, 1, 0.0)
+        base = predict_all(model, DesignMatrix(X, names, True))
+        for k in (1, 2, 7, 64):
+            # the refits' p x k layout, columns contiguous, and rows contiguous
+            for B in (rng.normal(0, 0.3, size=(k, p)).T,
+                      rng.normal(0, 0.3, size=(p, k))):
+                for j in {0, k // 2, k - 1}:
+                    B[:, j] = beta
+                    found = mean_values(family, X, B)[:, j]
+                    assert np.array_equal(found, base), (k, j, B.flags.c_contiguous)
 
 
 class TestMeanGradient:

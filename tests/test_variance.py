@@ -126,8 +126,7 @@ class TestVarianceComponentA:
             np.full(n, 2.5), np.full(n, N / n), N
         )
         v = variance_component_a(
-            model, sample_a, design_a, srs_design(N),
-            VarianceStrategyA.EXACT_JOINT, N,
+            model, sample_a, design_a, srs_design(N), N,
         )
         assert abs(v) <= 1e-12
 
@@ -138,8 +137,7 @@ class TestVarianceComponentA:
             m = rng.normal(size=n) * rng.uniform(0.1, 10)
             model, sample_a, design_a = self._setup(m, np.full(n, N / n), N)
             v = variance_component_a(
-                model, sample_a, design_a, srs_design(N),
-                VarianceStrategyA.EXACT_JOINT, N,
+                model, sample_a, design_a, srs_design(N), N,
             )
             textbook = (1 - n / N) * np.var(m, ddof=1) / n
             assert v == pytest.approx(textbook, abs=1e-10 * max(1.0, abs(textbook)))
@@ -157,8 +155,7 @@ class TestVarianceComponentA:
             )
             values.append(
                 variance_component_a(
-                    model, sample_a, design_a, srs_design(N),
-                    VarianceStrategyA.EXACT_JOINT, N,
+                    model, sample_a, design_a, srs_design(N), N,
                 )
             )
         assert np.mean(values) == pytest.approx(truth, abs=1e-10)
@@ -179,11 +176,10 @@ class TestVarianceComponentA:
         )
         model, sample_a, design_a = self._setup(m, np.full(n, N / n), N)
         v_table = variance_component_a(
-            model, sample_a, design_a, spec, VarianceStrategyA.EXACT_JOINT, N
+            model, sample_a, design_a, spec, N
         )
         v_srs = variance_component_a(
-            model, sample_a, design_a, srs_design(N),
-            VarianceStrategyA.EXACT_JOINT, N,
+            model, sample_a, design_a, srs_design(N), N,
         )
         assert v_table == pytest.approx(v_srs, abs=1e-12)
 
@@ -194,20 +190,34 @@ class TestVarianceComponentA:
             w = rng.uniform(1, 10, size=n)
             model, sample_a, design_a = self._setup(m, w, 100.0)
             v = variance_component_a(
-                model, sample_a, design_a, ppswr_design(),
-                VarianceStrategyA.PPSWR_APPROX, 100.0,
+                model, sample_a, design_a, ppswr_design(), 100.0,
             )
             assert v >= 0.0
 
-    def test_exact_joint_without_provider_errors(self, rng):
+    def test_joint_table_of_another_size_errors(self, rng):
+        from massimpute import DesignKind, DesignSpec
+
         model, sample_a, design_a = self._setup(
             rng.normal(size=4), np.full(4, 5.0), 20.0
         )
-        with pytest.raises(MissingJointProbabilities):
-            variance_component_a(
-                model, sample_a, design_a, ppswr_design(),
-                VarianceStrategyA.EXACT_JOINT, 20.0,
-            )
+        spec = DesignSpec(DesignKind.JOINT_PROBABILITIES, population_size=20.0,
+                          joint_probabilities=np.full((3, 3), 0.04))
+        with pytest.raises(MissingJointProbabilities, match="3x3"):
+            variance_component_a(model, sample_a, design_a, spec, 20.0)
+
+    @pytest.mark.parametrize("spec, strategy", [
+        (srs_design(20.0), VarianceStrategyA.EXACT_JOINT),
+        (ppswr_design(20.0), VarianceStrategyA.PPSWR_APPROX)])
+    def test_form_is_the_one_the_report_names(self, rng, spec, strategy):
+        model, sample_a, design_a = self._setup(
+            rng.normal(size=4), np.full(4, 5.0), 20.0
+        )
+        sample_b = make_sample_b(rng.normal(size=6), rng.normal(size=6))
+        design_b = plain_design(rng.normal(size=(6, 1)), ("m",))
+        lin = linearized_variance(model, sample_a, sample_b, design_a, design_b,
+                                  spec, 20.0)
+        assert lin.strategy_a is strategy
+        assert lin.v_a == variance_component_a(model, sample_a, design_a, spec, 20.0)
 
 
 class TestLinearizedVariance:
@@ -262,7 +272,7 @@ def test_srs_identity_property(data, extra):
     )
     model = linear_model([1.0], names=("m",))
     v = variance_component_a(
-        model, sample_a, design_a, srs_design(N), VarianceStrategyA.EXACT_JOINT, N
+        model, sample_a, design_a, srs_design(N), N
     )
     textbook = (1 - n / N) * np.var(m, ddof=1) / n
     assert v == pytest.approx(textbook, abs=1e-10 * max(1.0, abs(textbook)))

@@ -1,6 +1,5 @@
 """The fork-map helper: the worker-count rule, range order, errors."""
 
-import ctypes
 import multiprocessing
 import os
 import sys
@@ -122,25 +121,3 @@ def test_refits_do_not_depend_on_block_boundaries(rng):
     forked = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=50, seed=4, workers=2)
     assert np.array_equal(serial[0], forked[0]) and serial[1] == forked[1]
 
-
-def _openblas_threads():
-    """OpenBLAS's thread count in this process, or None without OpenBLAS."""
-    with open("/proc/self/maps") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line}
-    for path in paths:
-        library = ctypes.CDLL(path)
-        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads",
-                     "scipy_openblas_get_num_threads64_"):
-            getter = getattr(library, name, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return getter()
-    return None
-
-
-@needs_two_cpus
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps") or _openblas_threads() is None,
-                    reason="needs OpenBLAS and /proc")
-def test_workers_run_openblas_in_one_thread():
-    assert fork_map(lambda r: _openblas_threads(), 2, 2) == [1, 1]
