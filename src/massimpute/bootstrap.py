@@ -43,12 +43,14 @@ coefficients' predictions, multiplied by einsum, so a column's bits do not
 depend on the block's width.  Two consumers take the same blocks: the Monte
 Carlo reduces each block straight to its replicate estimates
 (:func:`sample_a_estimates`), so no n_A x L array exists in a rep, and the
-``bootstrap`` command fills the n_A x L release columns from them
-(:func:`sample_a_replicates`).  A block's sum over units adds each column's
-rows in order, as numpy sums the columns of a C-order n_A x L product, and a
-lone column is summed beside a copy of itself, since numpy sums one column
-pairwise.  So the estimates are those of the whole product bit for bit,
-and replicate k's estimate does not depend on L, L = 1 included.
+``bootstrap`` command builds each block in its own columns of the n_A x L
+release columns (:func:`sample_a_replicates`), so no block is copied: the
+weights are multiplied, and the imputations predicted, into them.  A block's
+sum over units adds each column's rows in order, as numpy sums the columns
+of a C-order n_A x L product, and a lone column is summed beside a copy of
+itself, since numpy sums one column pairwise.  So the estimates are those
+of the whole product bit for bit, and replicate k's estimate does not
+depend on L, L = 1 included.
 
 Linear refits go in blocks of about 2^20 resample counts to
 :func:`~massimpute.mean_model.least_squares`, the full-sample fit's normal
@@ -216,10 +218,11 @@ def _draw_counts(seed: int, ks, tag: int, attempt: int, n: int, size: int,
 
 
 def _weight_blocks(sample_a: SurveySample, design_spec: DesignSpec, L: int,
-                   seed: int):
+                   seed: int, out: np.ndarray | None = None):
     """Check the design, then return an iterator of (columns, weights): the
     rescaling-bootstrap weights of each draw group of the L replicates
-    (:func:`_count_groups`), an n x b block that the next block overwrites."""
+    (:func:`_count_groups`), an n x b block that the next block overwrites,
+    or, given an n x L ``out``, the block's columns of ``out``."""
     if L < 1:
         raise ValidationError("number of replicates must be at least 1")
     if design_spec.design not in (DesignKind.SRS_WOR, DesignKind.PPS_WR):
@@ -235,9 +238,12 @@ def _weight_blocks(sample_a: SurveySample, design_spec: DesignSpec, L: int,
     def blocks():
         buffer = None
         for cols, counts in _count_groups(seed, np.arange(L), 0, 0, n, n - 1):
-            if buffer is None:  # the first group is the widest
-                buffer = np.empty((n, len(counts)))
-            weights = buffer[:, : len(counts)]
+            if out is not None:
+                weights = out[:, cols]
+            else:
+                if buffer is None:  # the first group is the widest
+                    buffer = np.empty((n, len(counts)))
+                weights = buffer[:, : len(counts)]
             # the same two roundings per cell as w * (n / (n - 1)) * count
             np.multiply(counts.T, scale, out=weights)
             del counts  # before the caller's work on the block
@@ -373,15 +379,16 @@ def sample_a_replicates(
 ) -> ReplicateSet:
     """The replicate set of the L x p refitted coefficients ``betas``
     (:func:`bootstrap_refit`): sample A's replicate weights, paired with its
-    imputations under each replicate's coefficients, filled from
-    :func:`replicate_blocks`.  It needs nothing of sample B, so a caller may
-    release B before it runs."""
+    imputations under each replicate's coefficients, each block of
+    :func:`replicate_blocks` built in its columns of the two n_A x L
+    outputs.  It needs nothing of sample B, so a caller may release B before
+    it runs."""
     base = predict_all(model, design_a)
-    blocks = replicate_blocks(model, sample_a, design_a, design_spec, betas, seed)
     shape = (sample_a.n, len(betas))
     rep_w, rep_yhat = np.empty(shape), np.empty(shape)
-    for cols, weights, imputations in blocks:
-        rep_w[:, cols], rep_yhat[:, cols] = weights, imputations
+    for _ in replicate_blocks(model, sample_a, design_a, design_spec, betas, seed,
+                              (rep_w, rep_yhat)):
+        pass
     return ReplicateSet(
         L=len(betas),
         replicate_weights=rep_w,
@@ -399,16 +406,24 @@ def replicate_blocks(
     design_spec: DesignSpec,
     betas: np.ndarray,
     seed: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Sample A's replicate columns for the L x p refitted coefficients
     ``betas``, one draw group at a time: an iterator of (columns, weights,
     imputations), each an n_A x b block of the columns' slice; the next
-    block overwrites the weights.  Column k of the imputations comes from
-    replicate k's coefficients only, and its bits do not depend on the block
+    block overwrites the weights.  Given ``out``, a pair of n_A x L arrays,
+    each block is built in its columns of them instead, the weights in the
+    first and the imputations in the second.  Column k of the imputations
+    comes from replicate k's coefficients only, and its bits do not depend
+    on the block or where it is built
     (:func:`~massimpute.mean_model.mean_values`)."""
+    rep_w, rep_yhat = (None, None) if out is None else out
     return (
-        (cols, weights, mean_values(model.family, design_a.values, betas[cols].T))
-        for cols, weights in _weight_blocks(sample_a, design_spec, len(betas), seed)
+        (cols, weights, mean_values(
+            model.family, design_a.values, betas[cols].T,
+            out=None if rep_yhat is None else rep_yhat[:, cols]))
+        for cols, weights in _weight_blocks(sample_a, design_spec, len(betas), seed,
+                                            rep_w)
     )
 
 

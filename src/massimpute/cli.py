@@ -13,7 +13,6 @@ flags against each other.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -46,8 +45,23 @@ from .variance import interval_summary, linearized_variance
 from .workers import usable_cpus
 
 
+def _sha256_type():
+    """CPython's built-in SHA-256, else hashlib's where it is not built.
+    Importing hashlib maps OpenSSL's libcrypto, about 3.5 MiB of resident
+    memory in every command; its SHA-256 is faster (925 against 130 MB/s on
+    Python 3.11 on a 2-vCPU Xeon VM, 0.06 s more for a 200,000-row sample)."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _sha256(path) -> str:
-    digest = hashlib.sha256()
+    digest = _sha256_type()()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)

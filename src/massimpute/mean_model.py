@@ -99,18 +99,22 @@ def _clipped_exp(eta: np.ndarray) -> np.ndarray:
     return np.exp(eta, out=eta)
 
 
-def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized m(x; beta) over the rows of X; for a p x k ``beta``, one
     column per coefficient vector, by the product rule of the module
     docstring.  ``beta``'s columns are made contiguous: against a row-major
-    X, einsum adds a row's products in another order when they are not."""
+    X, einsum adds a row's products in another order when they are not.
+    With ``out``, an n x k float array such as a slice of a wider row-major
+    array's columns, the product and the inverse link are written into it,
+    with the bits of a fresh result, and ``out`` is returned."""
     beta = np.asarray(beta, dtype=float, order="F")
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != beta.shape[0]:
         raise DimensionMismatch(
             f"design has {X.shape[-1]} columns but beta has {beta.shape[0]}"
         )
-    return _inverse_link(family, np.einsum("np,p...->n...", X, beta))
+    return _inverse_link(family, np.einsum("np,p...->n...", X, beta, out=out))
 
 
 def _inverse_link(family: ModelFamily, eta: np.ndarray) -> np.ndarray:

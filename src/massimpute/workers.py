@@ -8,11 +8,19 @@ for any worker count.  It runs serially, in the caller, for one worker,
 off Linux, and in a daemonic process.  A worker leaves the BLAS library's
 thread count as it is: no product of a design with coefficients, and no sum
 over units, goes through BLAS (:mod:`.mean_model`).
+
+Workers are started with ``os.fork`` and send their pickled outcome back
+through a pipe of their own.  ``multiprocessing`` is never imported: its
+import and one ``Process`` with its ``Pipe`` add about 0.9 MiB to the
+caller's peak memory.  Nor does a worker map OpenSSL that its caller has not:
+importing ``numpy.random`` there builds ``hashlib`` on CPython's own hashes.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import sys
 
 
@@ -36,12 +44,73 @@ def split(units: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _child(fn, indices: range, conn) -> None:
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # no stream, or a closed one
+            pass
+
+
+def _child(fn, indices: range, write: int, running: dict) -> None:
+    """Run one range in a forked worker, write its pickled outcome to the
+    pipe ``write`` and leave through ``os._exit``: 0 once the outcome is
+    written, 1 otherwise.  Never returns."""
+    code = 1
     try:
-        outcome = True, fn(indices)
-    except Exception as exc:
-        outcome = False, exc
-    conn.send(outcome)
+        # a worker's first draw imports numpy.random, which imports secrets
+        # and so hashlib; unless the caller had OpenSSL loaded, hashlib is
+        # built here without it, whose libcrypto would add about 2.4 MiB to
+        # each worker's peak memory (a module set to None cannot be imported)
+        sys.modules.setdefault("_hashlib", None)
+        for pipe in running.values():  # of the workers forked before this one
+            pipe.close()
+        try:
+            outcome = True, fn(indices)
+        except Exception as exc:
+            outcome = False, exc
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:  # a result or an exception pickle refuses
+            data = pickle.dumps((False, ChildProcessError(
+                f"worker process could not send its result: {exc!r}")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        _flush_stdio()
+        os._exit(code)
+
+
+def _fork(fn, indices: range, running: dict) -> int:
+    """Fork a worker for ``indices`` and enter the read end of its pipe in
+    ``running`` under its pid."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        os.close(read)
+        _child(fn, indices, write, running)
+    os.close(write)
+    running[pid] = open(read, "rb")
+    return pid
+
+
+def _receive(pid: int, running: dict):
+    """The outcome a worker sent, read to the end of its pipe, once the
+    worker is reaped; ``ChildProcessError`` if it exited without one."""
+    with running[pid] as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del running[pid]
+    if code:
+        raise ChildProcessError(f"worker process exited with code "
+                                f"{code} before sending its result")
+    return pickle.loads(data)
 
 
 def fork_map(fn, units: int, threads: int) -> list:
@@ -51,48 +120,36 @@ def fork_map(fn, units: int, threads: int) -> list:
     the work does not raise its own memory peak.  ``fn`` needs no pickling,
     its results and exceptions do.  An exception is raised from the first
     range that raised one, as the serial loop would; a worker that ends
-    without a result (killed, say) raises ``ChildProcessError``.
+    without a result (killed, say, or with a result pickle refuses) raises
+    ``ChildProcessError``.  If this process is interrupted, the workers
+    still running get SIGTERM; every worker is reaped before it returns.
     """
     ranges = split(units, worker_count(threads, units))
     if len(ranges) == 1:
         return [fn(ranges[0])]
-    import multiprocessing
-
     # forking is safe on Linux's libraries, not under the system frameworks
-    # macOS's numpy may link; a daemonic process, such as a
-    # worker of a multiprocessing pool, may not start processes of its own
+    # macOS's numpy may link; a daemonic process, such as a worker of a
+    # multiprocessing pool, may not start processes of its own (a process
+    # that never imported multiprocessing is none)
+    multiprocessing = sys.modules.get("multiprocessing")
     if (not sys.platform.startswith("linux")
-            or multiprocessing.current_process().daemon):
+            or (multiprocessing is not None
+                and multiprocessing.current_process().daemon)):
         return [fn(r) for r in ranges]
-    context = multiprocessing.get_context("fork")
-    jobs = []
+    _flush_stdio()  # or a worker would write this process's buffers again
+    running = {}  # pid -> the read end of its pipe, for each unreaped worker
     try:
-        for indices in ranges:
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(target=_child, args=(fn, indices, send),
-                                      daemon=True)
-            process.start()
-            send.close()
-            jobs.append((process, receive))
-        outcomes = [_receive(process, receive) for process, receive in jobs]
+        pids = [_fork(fn, indices, running) for indices in ranges]
+        outcomes = [_receive(pid, running) for pid in pids]
     except BaseException:
-        for process, _ in jobs:
-            process.terminate()
+        for pid in running:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for process, receive in jobs:
-            receive.close()
-            process.join()
+        for pid, pipe in running.items():
+            pipe.close()
+            os.waitpid(pid, 0)
     for ok, value in outcomes:
         if not ok:
             raise value
     return [value for _, value in outcomes]
-
-
-def _receive(process, receive):
-    try:
-        return receive.recv()
-    except EOFError:
-        process.join()
-        raise ChildProcessError(f"worker process exited with code "
-                                f"{process.exitcode} before sending its result") from None

@@ -29,6 +29,7 @@ from massimpute.bootstrap import (
     _draw_counts,
     _replay,
     _streams,
+    replicate_blocks,
     sample_a_estimates,
     sample_a_replicates,
 )
@@ -659,6 +660,56 @@ class TestSampleAEstimates:
         # the replicates' stream seeds (about 150 bytes a replicate); one
         # n_A x L array would add 14 MB
         assert peaks[4000] - peaks[500] < 256 * 3500
+
+
+class TestSampleAReplicates:
+    """The ``bootstrap`` command's n_A x L replicate columns, each draw group
+    built in its own columns, are those of :func:`replicate_blocks`."""
+
+    n_a = 2_000  # draw groups of 16 columns
+
+    @pytest.fixture(params=[ModelFamily.LINEAR, ModelFamily.LOGISTIC])
+    def fitted(self, request, rng):
+        x = rng.normal(2, 1, size=self.n_a)
+        sample_a = make_sample_a(x, np.full(self.n_a, 40.0))
+        design_a = build_design_matrix(sample_a, ("x",), intercept=True)
+        y = 1 + 2 * x + rng.normal(size=self.n_a)
+        if request.param is ModelFamily.LOGISTIC:
+            y = (y > 5).astype(float)
+        model = fit_model(request.param, *_linear_b(x, y))
+        betas = model.beta_hat + rng.normal(0, 0.1, size=(100, 2))
+        return model, sample_a, design_a, betas
+
+    @pytest.mark.parametrize("L", [1, 2, 17, 100])
+    def test_columns_of_the_blocks_bit_for_bit(self, fitted, L):
+        model, sample_a, design_a, betas = fitted
+        spec = srs_design(80_000.0)
+        found = sample_a_replicates(model, sample_a, design_a, spec, betas[:L], 9)
+        weights, imputations = np.empty((2, self.n_a, L))
+        for cols, w, y in replicate_blocks(model, sample_a, design_a, spec,
+                                           betas[:L], 9):
+            weights[:, cols], imputations[:, cols] = w, y
+        assert np.array_equal(found.replicate_weights.view(np.int64),
+                              weights.view(np.int64))
+        assert np.array_equal(found.replicate_imputations.view(np.int64),
+                              imputations.view(np.int64))
+
+    def test_peak_is_the_outputs_and_one_draw_group(self, fitted):
+        model, sample_a, design_a, betas = fitted
+        spec = srs_design(80_000.0)
+        sample_a_replicates(model, sample_a, design_a, spec, betas, 9)
+        tracemalloc.start()
+        try:
+            sample_a_replicates(model, sample_a, design_a, spec, betas, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two n_A x L matrices and the base imputations (3.07 MiB); a
+        # draw group's raw words, products, draws and counts take about
+        # 0.9 MiB, and a copy of a group's weights or imputations beside
+        # them 0.24 MiB more
+        outputs = (2 * len(betas) + 1) * self.n_a * 8
+        assert peak < outputs + 1.25 * 2**20
 
 
 class TestAugmentedFile:

@@ -1,13 +1,17 @@
 """The fork-map helper: the worker-count rule, range order, errors."""
 
+import contextlib
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from massimpute import ModelFamily, bootstrap_refit, build_design_matrix
+from massimpute import ModelFamily, bootstrap_refit, build_design_matrix, workers
 from massimpute.errors import NumericalError, StratumExhausted
 from massimpute.workers import fork_map, split, usable_cpus, worker_count
 
@@ -88,6 +92,105 @@ def test_error_of_the_first_failing_range_is_raised_whole():
     with pytest.raises(StratumExhausted, match="k = 2: requested 3") as exc:
         fork_map(fail_from_2, 8, 2)
     assert type(exc.value) is StratumExhausted
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError here if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child at all, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _list_of(r):
+    return list(r)
+
+
+def _raise_in_second_range(r):
+    if r.start > 0:
+        raise ValueError(f"range {r}")
+    return list(r)
+
+
+def _die_in_second_range(r):
+    if r.start > 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return list(r)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fn, error", [(_list_of, None),
+                                       (_raise_in_second_range, ValueError),
+                                       (_die_in_second_range, ChildProcessError)])
+def test_every_worker_is_reaped(fn, error):
+    _assert_no_child_left()
+    with _deadline(60):
+        if error is None:
+            assert fork_map(fn, 6, 2) == [[0, 1, 2], [3, 4, 5]]
+        else:
+            with pytest.raises(error):
+                fork_map(fn, 6, 2)
+    _assert_no_child_left()
+
+
+@needs_two_cpus
+def test_output_buffered_before_the_fork_is_written_once():
+    # a pipe makes stdout block-buffered; a worker that inherited the unflushed
+    # buffer would write it again when it flushes on leaving
+    script = ("import sys; from massimpute.workers import fork_map; "
+              "sys.stdout.write('once'); fork_map(list, 4, 2)")
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(workers.__file__))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "once"
+
+
+def _sleep_in_second_range(r):
+    if r.start > 0:
+        time.sleep(60)
+    return list(r)
+
+
+@needs_two_cpus
+def test_interrupted_wait_terminates_and_reaps_the_workers():
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        with _deadline(1):
+            fork_map(_sleep_in_second_range, 4, 2)
+    assert time.monotonic() - start < 30  # the sleeping worker got SIGTERM
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None  # pickle refuses a lambda
+
+
+def _raise_unpicklable(r):
+    raise _Unpicklable(f"range {r}")
+
+
+@needs_two_cpus
+def test_exception_that_cannot_be_pickled_arrives_as_an_error():
+    with _deadline(60):
+        with pytest.raises(ChildProcessError, match="could not send its result"):
+            fork_map(_raise_unpicklable, 4, 2)
+    _assert_no_child_left()
 
 
 @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
