@@ -42,26 +42,13 @@ from .mean_model import FittedModel, ModelFamily, fit_model, predict_all
 from .simulation import SimConfig, run_monte_carlo, write_per_rep_csv
 from .table import read_json, write_table
 from .variance import interval_summary, linearized_variance
-from .workers import usable_cpus
-
-
-def _sha256_type():
-    """CPython's built-in SHA-256, else hashlib's where it is not built.
-    Importing hashlib maps OpenSSL's libcrypto, about 3.5 MiB of resident
-    memory in every command; its SHA-256 is faster (925 against 130 MB/s on
-    Python 3.11 on a 2-vCPU Xeon VM, 0.06 s more for a 200,000-row sample)."""
-    try:
-        from _sha2 import sha256  # Python 3.12 and later
-    except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
-    return sha256
+from .workers import usable_cpus, use_builtin_hashes
 
 
 def _sha256(path) -> str:
-    digest = _sha256_type()()
+    import hashlib  # after use_builtin_hashes, so that it maps no OpenSSL
+
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
@@ -443,6 +430,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def run_cli(argv=None) -> int:
+    use_builtin_hashes()
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -51,14 +51,17 @@ _READ_ROWS = 2**14
 
 def write_table(path, header, columns) -> None:
     """Write equal-length numeric columns under a header row; columns of
-    unequal length, or a header of another width, raise
-    :class:`ValidationError` before the file is opened."""
+    unequal length, a header of another width or one that repeats a name
+    raise :class:`ValidationError` before the file is opened."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = len(columns[0]) if columns else 0
     if len(header) != len(columns) or any(len(c) != n for c in columns):
         raise ValidationError(
             f"{path}: a header of {len(header)} names for {len(columns)} "
             f"columns of lengths {sorted({len(c) for c in columns})}")
+    if len(set(header)) < len(header):  # a reader would take the first
+        raise ValidationError(f"{path}: the header repeats the names "
+                              f"{sorted({h for h in header if header.count(h) > 1})}")
     rows = max(1, _WRITE_CELLS // max(1, len(columns)))
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
@@ -76,7 +79,8 @@ def read_columns(path, names, text=()) -> dict[str, np.ndarray | TextColumn]:
 
     Blank lines are skipped.  Raises :class:`EmptyFile` for no data row,
     :class:`RaggedRow` for a row whose cell count differs from the header's,
-    :class:`MissingColumn` for the first absent name, then, column by column
+    :class:`MissingColumn` for the first name absent from the header, or
+    :class:`ValidationError` for the first it repeats, then, column by column
     in the order of ``names``, :class:`MissingValue`, :class:`NonNumericValue`
     or :class:`NonFiniteValue` for the first bad cell.  Rows are numbered
     from 1 over data rows.  The module docstring names the two parse paths.
@@ -110,7 +114,8 @@ def _read_plain(path, names, text):
     with open(path, newline="") as fh:
         try:  # a UnicodeDecodeError is a ValueError
             scan = _scan_plain(fh)
-            if scan is None or any(name not in scan[0] for name in names):
+            # a name absent from the header, or repeated, takes the walk
+            if scan is None or any(scan[0].count(name) != 1 for name in names):
                 return None
             header, bound = scan
             index = {name: header.index(name) for name in names}
@@ -200,6 +205,9 @@ def _read_checked(path, names, text):
     for name in names:
         if name not in header:
             raise MissingColumn(name)
+        if header.count(name) > 1:
+            raise ValidationError(f"{path}: column {name!r} appears "
+                                  f"{header.count(name)} times in the header")
     index = {name: header.index(name) for name in names}
 
     numeric = [name for name in index if name not in text]

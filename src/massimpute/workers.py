@@ -12,12 +12,13 @@ over units, goes through BLAS (:mod:`.mean_model`).
 Workers are started with ``os.fork`` and send their pickled outcome back
 through a pipe of their own.  ``multiprocessing`` is never imported: its
 import and one ``Process`` with its ``Pipe`` add about 0.9 MiB to the
-caller's peak memory.  Nor does a worker map OpenSSL that its caller has not:
-importing ``numpy.random`` there builds ``hashlib`` on CPython's own hashes.
+caller's peak memory.  :func:`use_builtin_hashes` decides, for a command at
+its start and for each worker, whether ``hashlib`` is built without OpenSSL.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import pickle
 import signal
@@ -44,6 +45,16 @@ def split(units: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def use_builtin_hashes() -> None:
+    """Have ``hashlib``, which ``import numpy.random`` imports, built without
+    OpenSSL's libcrypto (about 3.5 MiB), unless this process has loaded it or
+    lacks a hash module ``hashlib`` falls back to (it would log a traceback
+    for each): a module set to None in ``sys.modules`` cannot be imported."""
+    sha2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+    if all(map(importlib.util.find_spec, ("_md5", "_sha1", *sha2, "_blake2", "_sha3"))):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def _flush_stdio() -> None:
     for stream in (sys.stdout, sys.stderr):
         try:
@@ -53,16 +64,12 @@ def _flush_stdio() -> None:
 
 
 def _child(fn, indices: range, write: int, running: dict) -> None:
-    """Run one range in a forked worker, write its pickled outcome to the
-    pipe ``write`` and leave through ``os._exit``: 0 once the outcome is
-    written, 1 otherwise.  Never returns."""
+    """Run one range in a forked worker after :func:`use_builtin_hashes`,
+    write its pickled outcome to the pipe ``write`` and leave through
+    ``os._exit``: 0 once the outcome is written, 1 otherwise.  Never returns."""
     code = 1
     try:
-        # a worker's first draw imports numpy.random, which imports secrets
-        # and so hashlib; unless the caller had OpenSSL loaded, hashlib is
-        # built here without it, whose libcrypto would add about 2.4 MiB to
-        # each worker's peak memory (a module set to None cannot be imported)
-        sys.modules.setdefault("_hashlib", None)
+        use_builtin_hashes()  # a worker's first draw imports numpy.random
         for pipe in running.values():  # of the workers forked before this one
             pipe.close()
         try:

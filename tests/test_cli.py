@@ -572,6 +572,50 @@ def test_level_missing_from_b_exits_3(tmp_path, rng, capsys):
     assert not (tmp_path / "aug.csv").exists()
 
 
+def test_repeated_column_name_exits_3(tmp_path, rng, capsys, monkeypatch):
+    # a covariate named yhat would head the imputed and release files twice,
+    # and a reader would take the covariate for the imputations
+    monkeypatch.chdir(tmp_path)
+    x_b, x_a, w = rng.normal(2, 1, size=60), rng.normal(2, 1, size=30), np.full(30, 25.0)
+    write_csv("b.csv", ["yhat", "y"], zip(x_b, 1 + 2 * x_b))
+    write_csv("a.csv", ["yhat", "w"], zip(x_a, w))
+    write_csv("bx.csv", ["x", "y"], zip(x_b, 1 + 2 * x_b))
+    write_csv("ax.csv", ["x", "w"], zip(x_a, w))
+    write_csv("axx.csv", ["x", "x", "w"], zip(x_a, x_a, w))
+    write_csv("bxx.csv", ["x", "y", "x"], zip(x_b, 1 + 2 * x_b, x_b))
+    fit = ["--train", "b.csv", "--response", "y", "--covariates", "yhat"]
+    fit_x = ["--train", "bx.csv", "--response", "y", "--covariates", "x"]
+    assert run_cli(["fit", *fit, "--out", "model.json"]) == 0
+    files = sorted(os.listdir())
+    for argv, message in [
+        (["impute", "--model", "model.json", "--sample-a", "a.csv", "--weight", "w",
+          "--out", "imputed.csv"], "repeats the names ['yhat']"),
+        (["bootstrap", *fit, "--sample-a", "a.csv", "--weight", "w",
+          "--L", "3", "--out", "aug.csv"], "repeats the names ['yhat']"),
+        (["bootstrap", *fit_x, "--sample-a", "axx.csv", "--weight", "w",
+          "--L", "3", "--out", "aug.csv"], "column 'x' appears 2 times"),
+        (["fit", "--train", "bxx.csv", "--response", "y", "--covariates", "x",
+          "--out", "m.json"], "column 'x' appears 2 times"),
+    ]:
+        capsys.readouterr()
+        assert run_cli(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError" and message in err["message"]
+    assert sorted(os.listdir()) == files  # no output, no manifest
+
+    # a release file whose sample A column x is renamed yhat
+    assert run_cli(["bootstrap", *fit_x, "--sample-a", "ax.csv", "--weight", "w",
+                    "--L", "3", "--out", "aug.csv"]) == 0
+    text = pathlib.Path("aug.csv").read_text()
+    pathlib.Path("aug.csv").write_text("yhat" + text.removeprefix("x"))
+    capsys.readouterr()
+    assert run_cli(["estimate", "--imputed", "aug.csv", "--variance", "bootstrap",
+                    "--report", "r.json"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "column 'yhat' appears 2 times" in err["message"]
+    assert not os.path.exists("r.json")
+
+
 def test_names_that_need_quoting_round_trip(tmp_path, rng):
     x_name = 'x"1'
     train, sample_a = _level_files(

@@ -294,6 +294,23 @@ def test_write_table_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == reference.getvalue().encode()
 
 
+def test_write_table_rejects_a_repeated_name(tmp_path):
+    with pytest.raises(ValidationError, match=r"repeats the names \['x', 'y'\]"):
+        write_table(tmp_path / "t.csv", ["x", "y", "x", "z", "y"], [[1.0]] * 5)
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["x,y,x\n1,2,3\n", 'x,y, x \n1,2,"3"\n'],
+                         ids=["plain", "walk"])
+def test_repeated_name_raises_only_when_asked_for(tmp_path, text):
+    path = _write(tmp_path / "t.csv", text)
+    with pytest.raises(ValidationError, match="column 'x' appears 2 times"):
+        read_columns(path, ["y", "x"])
+    assert read_columns(path, ["y"])["y"].tolist() == [2.0]
+    assert (_outcome(read_columns, path, ["y", "x"], ())
+            == _outcome(table._read_checked, path, ["y", "x"], ()))
+
+
 def test_write_table_bytes_with_repeated_values(tmp_path, rng):
     # most cells repeating a few values, both zeros among them, beside a
     # column of distinct values
