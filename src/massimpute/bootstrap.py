@@ -24,10 +24,11 @@ same hash.  A resample's counts are ``bincount(integers(0, n, size))`` on its
 stream.  When a group of at least two resamples fits in about 2^15 draws
 (n up to 2^14), each replicate sets one PCG64 to its state and takes its raw
 64-bit words, and the group applies ``integers``' own bounded-integer rule
-(Lemire's) to all of them at once, with one flat ``bincount``.  A value the
-rule rejects moves every later value of its row, so the rare row that holds
-one (under 0.1% of rows at n = 2,000, a few percent near 2^14) is replayed
-on its own from its raw words, each rejected value replaced by the next.
+(Lemire's) to all of them at once, in place in one array of the group's
+values, with one flat ``bincount``.  A value the rule rejects moves every
+later value of its row, so the rare row that holds one (under 0.1% of rows
+at n = 2,000, a few percent near 2^14) is replayed on its own from its raw
+words, each rejected value replaced by the next.
 Larger resamples, whose per-call cost is under 1% of the draw, call
 ``integers`` one replicate at a time; at n = 200,000 nearly every row holds
 a rejected value, so the group rule would draw most rows twice.  NumPy's
@@ -52,13 +53,17 @@ itself, since numpy sums one column pairwise.  So the estimates are those
 of the whole product bit for bit, and replicate k's estimate does not
 depend on L, L = 1 included.
 
-Linear refits go in blocks of about 2^20 resample counts to
-:func:`~massimpute.mean_model.least_squares`, the full-sample fit's normal
-equations.  Like every sum over units, their sums run over unit blocks of at
-most 8,192 units (the block rule of :mod:`.mean_model`), so einsum sums each
-row of a count matrix alike however many rows share it, and a lone row's
-coefficients are mapped back as a row of several: earlier columns do not
-move when L grows, and no worker count changes a bit.
+A range of refits draws its resamples in one pass of their streams, as
+does each redraw attempt, and solves each draw group (65 resamples at
+n_B = 500) as soon as it is drawn: no L x n_B count matrix exists.
+Resamples too large to group are solved in blocks of about 2^20 counts.
+Linear refits solve :func:`~massimpute.mean_model.least_squares`, the
+full-sample fit's normal equations.  Like every sum over units, their sums
+run over unit blocks of at most 8,192 units (the block rule of
+:mod:`.mean_model`), so einsum sums each row of a count matrix alike however
+many rows share it, and a lone row's coefficients are mapped back as a row
+of several: earlier columns do not move when L grows, and no group, block
+or worker count changes a bit.
 
 Logistic and log-linear refits run one replicate at a time, each on the
 distinct rows of its resample (about 63% of n_B, gathered in row order from
@@ -99,8 +104,8 @@ from .table import read_columns, read_json, write_table
 from .workers import fork_map
 
 _REFIT_RETRY_CAP = 10
-# replicates are refitted in blocks of about this many resample counts, so a
-# block's count matrix stays near 8 MiB whatever the size of sample B
+# resamples too large to draw in groups are refitted in blocks of about this
+# many counts, so a block's count matrix stays near 8 MiB whatever n_B is
 _BLOCK_CELLS = 2**20
 # replicates are drawn in groups of about this many draws (a few 256 KiB
 # temporaries); a resample too large for a group of two is drawn on its own
@@ -143,28 +148,22 @@ def _streams(seed: int, ks, tag: int, attempt: int = 0):
 # integers(0, n) takes 32-bit values u, the low and then the high half of
 # each 64-bit PCG64 word, and rejects m = u * n when m mod 2^32 is below
 # (2^32 - n) mod n, taking the next value instead, else yields m >> 32
-# (Lemire's rule).  m is exact in int64 for n < 2^31.  The rule keeps to
+# (Lemire's rule).  m is exact in int64 for n < 2^31.  A little-endian uint32
+# view of the words holds the u in that order; it is taken after the words
+# are written, since on a big-endian host astype("<u8") copies them.  The
+# multiply casts the u to int64 as it goes, and the rest of the rule keeps to
 # int64 arithmetic: a uint32 or uint64 loop, or an int64 comparison, pages in
 # 64-128 KiB of numpy code that nothing else in a run touches, so x < t is
 # written (x - t) >> 63, which is -1 where it holds and 0 elsewhere
-def _products(words: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (... x 2w) with m = u * n for the 32-bit values u of the
-    raw words (... x w, viewed as int64), in the order integers takes them."""
-    np.bitwise_and(words, _MASK32, out=out[..., 0::2])
-    np.right_shift(words, 32, out=out[..., 1::2])
-    out[..., 1::2] &= _MASK32  # the int64 shift copies the sign bit
-    out *= n
-    return out
-
-
 def _replay(bit_generator, n: int, size: int) -> np.ndarray:
     """``integers(0, n, size)`` from a PCG64 at the start of its stream, from
     its raw words: each rejected value is replaced by the next one."""
     threshold = (2**32 - n) % n
     kept, need = [], size
     while need > 0:
-        words = bit_generator.random_raw(-(-need // 2)).view(np.int64)
-        m = _products(words, n, np.empty(2 * len(words), np.int64))
+        words = bit_generator.random_raw(-(-need // 2))
+        m = np.multiply(words.astype("<u8", copy=False).view("<u4"), n,
+                        dtype=np.int64)
         rejected = ((m & _MASK32) - threshold) >> 63
         kept.append(m[np.flatnonzero(rejected + 1)] >> 32)
         need -= len(kept[-1])
@@ -184,21 +183,19 @@ def _count_groups(seed: int, ks, tag: int, attempt: int, n: int, size: int):
                                                minlength=n)[None]
         return
     threshold = (2**32 - n) % n
-    words = -(-size // 2)
-    raw = np.empty((group, words), np.uint64)
-    m = np.empty((group, 2 * words), np.int64)
-    draws = np.empty((group, size), np.int64)
+    raw = np.empty((group, -(-size // 2)), np.uint64)
+    values = np.empty((group, size), np.int64)
     offsets = np.arange(0, group * n, n)[:, None]
     for start in range(0, len(ks), group):
         rows = min(group, len(ks) - start)
         for j, gen in zip(range(rows), streams):
-            raw[j] = gen.bit_generator.random_raw(words)
-        mr, d = _products(raw[:rows].view(np.int64), n, m[:rows]), draws[:rows]
+            raw[j] = gen.bit_generator.random_raw(raw.shape[1])
+        u = raw[:rows].astype("<u8", copy=False).view("<u4")
+        d = np.multiply(u[:, :size], n, out=values[:rows], dtype=np.int64)
         short = ()
         if threshold:
-            np.bitwise_and(mr[:, :size], _MASK32, out=d)
-            short = np.flatnonzero((d.min(axis=1) - threshold) >> 63)
-        np.right_shift(mr[:, :size], 32, out=d)
+            short = np.flatnonzero(((d & _MASK32).min(axis=1) - threshold) >> 63)
+        d >>= 32
         # a rejected value shifts the rest of its row, so the rare row that
         # holds one is replayed on its own
         for j in short:
@@ -207,14 +204,6 @@ def _count_groups(seed: int, ks, tag: int, attempt: int, n: int, size: int):
         d += offsets[:rows]
         yield slice(start, start + rows), np.bincount(
             d.ravel(), minlength=rows * n).reshape(rows, n)
-
-
-def _draw_counts(seed: int, ks, tag: int, attempt: int, n: int, size: int,
-                 out: np.ndarray) -> None:
-    """Set row j of ``out`` to the counts of ``ks[j]`` (:func:`_count_groups`)."""
-    for rows, counts in _count_groups(seed, ks, tag, attempt, n, size):
-        out[rows] = counts
-        del counts  # before the next group is drawn
 
 
 def _weight_blocks(sample_a: SurveySample, design_spec: DesignSpec, L: int,
@@ -313,7 +302,11 @@ def bootstrap_refit(
     n, p = X.shape
     solve = (least_squares(design_b, y) if family is ModelFamily.LINEAR
              else _quasi_score_fits(family, X, y))
-    block = max(1, _BLOCK_CELLS // n)
+    # a group of draws is solved as soon as it is drawn; resamples too large
+    # to group are drawn one at a time and solved in blocks
+    block = _DRAW_CELLS // n
+    if block < 2:
+        block = max(1, _BLOCK_CELLS // n)
 
     def refit(reps: range) -> tuple[np.ndarray, int, int | None]:
         """The coefficients of ``reps``, their redraws and the lowest
@@ -322,20 +315,25 @@ def bootstrap_refit(
         retries = 0
         # reused by every block and redraw
         buffer = np.empty((min(block, len(reps)), n))
-        for start in range(reps.start, reps.stop, block):
-            pending = np.arange(start, min(start + block, reps.stop))
-            for attempt in range(_REFIT_RETRY_CAP + 1):
-                counts = buffer[: len(pending)]
-                _draw_counts(seed, pending, 1, attempt, n, n, counts)
-                fitted, ok = solve(counts)
-                betas[pending[ok] - reps.start] = fitted[ok]
-                pending = pending[~ok]
-                if not pending.size:
-                    break
-                retries += pending.size
-            else:
-                return betas, retries, int(pending[0])
-        return betas, retries, None
+        pending = np.arange(reps.start, reps.stop)
+        for attempt in range(_REFIT_RETRY_CAP + 1):
+            failed, filled = [], 0
+            for rows, counts in _count_groups(seed, pending, 1, attempt, n, n):
+                buffer[filled : filled + len(counts)] = counts
+                filled += len(counts)
+                del counts  # before the block is solved
+                if filled < len(buffer) and rows.stop < len(pending):
+                    continue
+                ks = pending[rows.stop - filled : rows.stop]
+                fitted, ok = solve(buffer[:filled])
+                betas[ks[ok] - reps.start] = fitted[ok]
+                failed.append(ks[~ok])
+                filled = 0
+            pending = np.concatenate(failed)
+            if not pending.size:
+                return betas, retries, None
+            retries += pending.size
+        return betas, retries, int(pending[0])
 
     parts = fork_map(refit, L, workers)
     for _, _, failed in parts:

@@ -430,6 +430,13 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def run_cli(argv=None) -> int:
+    """Run one command on ``argv`` (``sys.argv[1:]`` when None) and return
+    its exit code.  It first calls
+    :func:`~massimpute.workers.use_builtin_hashes`, which lasts for the
+    calling process: unless ``hashlib`` was imported before the first call,
+    every later ``import hashlib`` in the process is built without OpenSSL,
+    so it lacks ``hashlib.scrypt`` (and ``pbkdf2_hmac`` on Python 3.12+).
+    A caller that needs those imports ``hashlib`` first."""
     use_builtin_hashes()
     if argv is None:
         argv = sys.argv[1:]

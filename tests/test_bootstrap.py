@@ -26,7 +26,7 @@ from massimpute import bootstrap, workers
 from massimpute.bootstrap import (
     _DRAW_CELLS,
     _REFIT_RETRY_CAP,
-    _draw_counts,
+    _count_groups,
     _replay,
     _streams,
     replicate_blocks,
@@ -88,8 +88,9 @@ class TestDrawCounts:
 
     @staticmethod
     def _assert_v1(seed, ks, tag, attempt, n, size):
-        out = np.empty((len(ks), n))
-        _draw_counts(seed, ks, tag, attempt, n, size, out)
+        out = np.concatenate([counts for _, counts in
+                              _count_groups(seed, ks, tag, attempt, n, size)])
+        assert len(out) == len(ks)
         for k, row in zip(ks, out):
             draws = _v1_stream(seed, k, tag, attempt).integers(0, n, size=size)
             assert np.array_equal(row, np.bincount(draws, minlength=n))
@@ -226,10 +227,12 @@ class TestLinearRefitOracle:
 
     @pytest.mark.parametrize(
         "x, redraws",
-        [([1.0, 0.0, 0.0, 0.0], 141), ([0.0, 0.0, 0.0, 1.0, 1.0], 36)],
+        [([1.0, 0.0, 0.0, 0.0], 141), ([0.0, 0.0, 0.0, 1.0, 1.0], 36),
+         ([1.0] + [0.0] * 499, 198)],
     )
     def test_two_valued_covariate_redraws(self, x, redraws):
-        # a resample that misses one of the two values is rank deficient
+        # a resample that misses one of the two values is rank deficient; at
+        # n = 500 the draws and redraws come in groups of 65
         x = np.array(x)
         sample, dm = _linear_b(x, np.arange(len(x)) ** 2.0)
         betas, retries = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=300, seed=11)
@@ -472,6 +475,50 @@ class TestLoneReplicate:
         one, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, L=1, seed=5)
         twelve, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, L=12, seed=5)
         assert np.array_equal(twelve[:1], one)
+
+    def test_blocks_of_single_draws(self, rng, monkeypatch):
+        # above 2^14 units no draw group holds two resamples: each is drawn
+        # on its own and solved in blocks of _BLOCK_CELLS // n, 52 here, so
+        # the serial run's last block holds one, and each worker's range 26
+        # or 27
+        n = 20_000
+        L = bootstrap._BLOCK_CELLS // n + 1
+        x = rng.normal(2, 1, size=n)
+        sample, design = _linear_b(x, 1 + 2 * x + rng.normal(size=n))
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        one, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, L, 5, workers=1)
+        two, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, L, 5, workers=2)
+        first, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, 1, 5)
+        assert np.array_equal(one, two)
+        assert np.array_equal(one[:1], first)
+
+
+class TestRangeInsideAGroup:
+    """At n_B = 500 a draw group holds 65 resamples, and the two-worker split
+    of L = 101 starts at replicate 50, inside the first group; each range
+    and each redraw attempt is drawn from one pass of its streams."""
+
+    n, L = 500, 101
+
+    @pytest.fixture(params=["continuous", "two-valued"])
+    def b(self, request, rng):
+        x = rng.normal(2, 1, size=self.n)
+        if request.param == "two-valued":
+            # a resample that misses unit 0 is rank deficient and redrawn
+            x = (np.arange(self.n) == 0).astype(float)
+        return _linear_b(x, 1 + 2 * x + rng.normal(size=self.n))
+
+    def test_any_worker_count_and_prefix(self, b, monkeypatch):
+        assert _DRAW_CELLS // self.n == 65
+        assert workers.split(self.L, 2)[1].start == 50
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        sample, design = b
+        one = bootstrap_refit(sample, ModelFamily.LINEAR, design, self.L, 5, workers=1)
+        two = bootstrap_refit(sample, ModelFamily.LINEAR, design, self.L, 5, workers=2)
+        first, _ = bootstrap_refit(sample, ModelFamily.LINEAR, design, 1, 5)
+        assert np.array_equal(one[0], two[0]) and one[1] == two[1]
+        assert np.array_equal(one[0][:1], first)
+        assert one[1] == _refit_loop(design.values, sample.responses, self.L, 5)[1]
 
 
 class TestBootstrapRefit:

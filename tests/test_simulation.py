@@ -213,9 +213,11 @@ class TestPaperRep:
                                                    replicate_estimates(whole, N))
 
     def test_peak_memory(self, population):
-        # no n_A x L array: the refits' 500 x 500 count block sets the peak,
-        # about 2.9 MiB (5.8 MiB with the weights, the imputations and their
-        # product held whole)
+        # no n_A x L or L x n_B array: the refits solve each group of 65
+        # resamples as it is drawn, and the peak, about 1.4 MiB, is one draw
+        # group of sample A's weights, imputations and their product (2.9 MiB
+        # with the refits' 500 x 500 count block, 5.8 MiB with the weights,
+        # the imputations and their product whole)
         config = SimConfig(model_id="I", master_seed=3, reps=2)
         simulation._run_one_rep(population, config, 0)
         tracemalloc.start()
@@ -224,4 +226,4 @@ class TestPaperRep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 2**20
+        assert peak < 1.75 * 2**20
