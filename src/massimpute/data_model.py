@@ -9,14 +9,19 @@ A sample's covariates are held once.  :func:`load_sample` takes the columns
 arrays, categorical ones as integer codes into their levels) and writes the
 covariates, each level other than the reference as a 0/1 indicator, into the
 rows of one C-contiguous (intercept + covariates) x n array; the sample's
-covariate columns are row views of it.  :func:`build_design_matrix` returns
-that array's transpose, with no copy, when asked for the sample's own
-covariates, and builds a new p x n array for any other selection.
+covariate columns are row views of it.  The numeric rows are written first,
+and each parsed column is released as soon as its row is written, so at most
+one is resident beside the design; the indicator rows follow.
+:func:`build_design_matrix` returns that array's transpose, with no copy,
+when asked for the sample's own covariates, and builds a new p x n array for
+any other selection.  Samples and designs check finiteness by reductions,
+with no temporary of their size.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +82,10 @@ class SurveySample:
             if self.weight_name is None:
                 raise MissingColumn("<weight>")
             w = self.columns[self.weight_name]
-            bad = np.flatnonzero(w <= 0)
-            if bad.size:
-                raise NonPositiveWeight(int(bad[0]) + 1, float(w[bad[0]]))
+            if w.size and not w.min() > 0:
+                bad = np.flatnonzero(w <= 0)
+                if bad.size:
+                    raise NonPositiveWeight(int(bad[0]) + 1, float(w[bad[0]]))
         else:
             if self.response_name is None:
                 raise MissingColumn("<response>")
@@ -92,7 +98,7 @@ class SurveySample:
             col = self.columns[name]
             if len(col) != n:
                 raise DimensionMismatch(f"column {name!r} length differs")
-            if not np.all(np.isfinite(col)):
+            if not _finite(col):
                 raise ValidationError(f"non-finite value in column {name!r}")
 
     def _declared(self):
@@ -175,8 +181,15 @@ class DesignMatrix:
             raise ValidationError("design matrix must be two-dimensional")
         if self.values.shape[1] < 1:
             raise UnknownCovariate("<empty design>")
-        if not np.all(np.isfinite(self.values)):
+        if not _finite(self.values):
             raise ValidationError("non-finite entry in design matrix")
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, without an array of its size:
+    a NaN propagates through ``min`` and ``max``, and ``initial`` covers an
+    empty ``a``."""
+    return math.isfinite(a.min(initial=0.0)) and math.isfinite(a.max(initial=0.0))
 
 
 def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
@@ -186,7 +199,11 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
     ``{col}={level}`` with the declared reference level dropped.  Cells are
     parsed and checked by :func:`~massimpute.table.read_columns`.  The
     covariate columns are the rows after the first of the sample's
-    ``design_rows``, whose first row is the intercept's ones.
+    ``design_rows``, whose first row is the intercept's ones.  The numeric
+    rows are written first, each parsed column released as its row is
+    written unless it is also the response or the weight, and then the
+    indicator rows from the codes: a page of the design is resident only once
+    written, so at most one parsed covariate is resident beside the design.
     """
     text = {name for name in schema.covariates if name in schema.categoricals}
     clash = text & {schema.response, schema.weight}
@@ -195,33 +212,37 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
                               "categorical covariate and the response or weight")
     declared = [*schema.covariates, schema.response, schema.weight]
     raw = read_columns(path, [name for name in declared if name is not None], text)
+    n = len(next(iter(raw.values())))
 
-    # (column name, parsed column, the code of its level or None if numeric)
-    covariates = []
+    # the design rows to write, as (row, name) and (row, codes, level's code)
+    names, numeric, indicators = [], [], []
     for name in schema.covariates:
-        column = raw[name]
         if name in schema.categoricals:
+            column = raw[name]
             levels = sorted(set(column.levels) - {schema.categoricals[name]})
-            covariates += [(f"{name}={level}", column.codes, column.levels.index(level))
-                           for level in levels]
+            indicators += [(1 + len(names) + i, column.codes, column.levels.index(level))
+                           for i, level in enumerate(levels)]
+            names += [f"{name}={level}" for level in levels]
         else:
-            covariates.append((name, column, None))
-    rows = np.empty((1 + len(covariates), len(next(iter(raw.values())))))
+            numeric.append((1 + len(names), name))
+            names.append(name)
+    rows = np.empty((1 + len(names), n))
     rows[0] = 1.0
-    for row, (_, values, code) in zip(rows[1:], covariates):
-        if code is None:
-            row[:] = values
-        else:
-            np.equal(values, code, out=row)
+    for i, name in numeric:
+        rows[i] = raw[name]
+        if name not in (schema.response, schema.weight):
+            raw[name] = rows[i]  # the parsed column goes; a repeat copies the row
+    for i, codes, code in indicators:
+        np.equal(codes, code, out=rows[i])
 
-    columns = {name: row for (name, _, _), row in zip(covariates, rows[1:])}
+    columns = dict(zip(names, rows[1:]))
     for name in (schema.response, schema.weight):
         if name is not None:
             columns[name] = raw[name]
 
     return SurveySample(
         columns=columns,
-        covariate_names=tuple(name for name, _, _ in covariates),
+        covariate_names=tuple(names),
         kind=kind,
         response_name=schema.response,
         weight_name=schema.weight,

@@ -83,16 +83,17 @@ def fit_propensity(
     wa = sample_a.weights
     xb_total = design_b.values.sum(axis=0)
 
-    pi = None
+    pi = wpi = None
 
     def score(phi):
-        nonlocal pi
+        nonlocal pi, wpi
         pi = mean_values(ModelFamily.LOGISTIC, xa, phi)
-        return xb_total - np.einsum("in,n->i", xa.T, wa * pi)
+        wpi = wa * pi
+        return xb_total - np.einsum("in,n->i", xa.T, wpi)
 
     def jacobian(phi):
-        # pi was computed at phi by the score call just before this one
-        return -np.einsum("in,jn->ij", xa.T * (wa * pi * (1.0 - pi)), xa.T)
+        # pi and wa * pi were computed at phi by the score call just before
+        return -np.einsum("in,jn->ij", xa.T * (wpi * (1.0 - pi)), xa.T)
 
     phi, iterations, norm = damped_newton(score, jacobian, np.zeros(xa.shape[1]), 1e-8)
     return PropensityModel(phi, norm, iterations, design_a.column_names)

@@ -28,6 +28,7 @@ coefficients equal the full-sample fit's predicts exactly what the fit does.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -194,7 +195,7 @@ def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
     """
     x = x0
     s = score(x)
-    norm = float(np.max(np.abs(s)))
+    norm = float(np.abs(s).max())
     for iteration in range(1, MAX_ITERATIONS + 1):
         if norm <= tolerance:
             return x, iteration - 1, norm
@@ -206,12 +207,12 @@ def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
         for _ in range(MAX_HALVINGS + 1):
             candidate = x + scale * step
             cand_score = score(candidate)
-            cand_norm = float(np.max(np.abs(cand_score)))
+            cand_norm = float(np.abs(cand_score).max())
             if cand_norm < norm:
                 break
             scale *= 0.5
         x, s, norm = candidate, cand_score, cand_norm
-        if np.linalg.norm(x) > DIVERGENCE_BOUND:
+        if math.sqrt(x.dot(x)) > DIVERGENCE_BOUND:  # np.linalg.norm's arithmetic
             raise NoConvergence(iteration, norm, x)
     if norm <= tolerance:
         return x, MAX_ITERATIONS, norm

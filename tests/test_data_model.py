@@ -1,13 +1,19 @@
 """Ingestion, validation, design matrices, and population-size estimation."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import massimpute
 from massimpute import (
     ColumnSchema,
+    DesignMatrix,
     ModelFamily,
     SampleKind,
     build_design_matrix,
@@ -27,7 +33,7 @@ from massimpute.errors import (
 )
 from massimpute.table import write_table
 
-from conftest import make_sample_a, write_csv
+from conftest import make_sample_a, make_sample_b, write_csv
 
 
 A_SCHEMA = ColumnSchema(covariates=("x",), weight="w")
@@ -89,6 +95,34 @@ class TestLoadSample:
         np.testing.assert_array_equal(sample.weights, again.weights)
 
 
+class TestColumnInTwoRoles:
+    """A numeric covariate may also be the weight or the response: its parsed
+    column is kept for that role after its design row is written."""
+
+    def test_covariate_that_is_also_the_weight(self, tmp_path):
+        rows = [[1.0, 2.0], [3.0, 4.0], [5.0, 0.5], [7.0, 8.0]]
+        path = write_csv(tmp_path / "a.csv", ["x", "w"], rows)
+        sample = load_sample(path, ColumnSchema(("x", "w"), weight="w"),
+                             SampleKind.PROBABILITY_A)
+        np.testing.assert_array_equal(sample.weights, [2.0, 4.0, 0.5, 8.0])
+        design = build_design_matrix(sample, sample.covariate_names)
+        assert design.column_names == ("(intercept)", "x", "w")
+        np.testing.assert_array_equal(design.values[:, 1], [1.0, 3.0, 5.0, 7.0])
+        np.testing.assert_array_equal(design.values[:, 2], sample.weights)
+
+    def test_covariate_that_is_also_the_response(self, tmp_path):
+        rows = [["a", 1.0, 2.0], ["b", 3.0, 4.0], ["a", 5.0, 0.5], ["b", 7.0, -8.0]]
+        path = write_csv(tmp_path / "b.csv", ["g", "x", "y"], rows)
+        schema = ColumnSchema(("y", "g", "x"), "y", categoricals={"g": "a"})
+        sample = load_sample(path, schema, SampleKind.NON_PROBABILITY_B)
+        np.testing.assert_array_equal(sample.responses, [2.0, 4.0, 0.5, -8.0])
+        design = build_design_matrix(sample, sample.covariate_names)
+        assert design.column_names == ("(intercept)", "y", "g=b", "x")
+        np.testing.assert_array_equal(design.values[:, 1], sample.responses)
+        np.testing.assert_array_equal(design.values[:, 2], [0.0, 1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(design.values[:, 3], [1.0, 3.0, 5.0, 7.0])
+
+
 class TestCategoricalExpansion:
     def test_categorical_response_rejected(self, tmp_path):
         path = write_csv(tmp_path / "b.csv", ["x", "y"], [[1, 2], [2, 3], [3, 2]])
@@ -141,6 +175,69 @@ class TestDesignMatrix:
             fit_model(ModelFamily.LINEAR, sample, dm)
 
 
+class TestFiniteness:
+    """Samples and designs reject a non-finite cell wherever it lies, and
+    check without an array of their size."""
+
+    CELLS = [0, 5, 9]  # the first, a middle and the last of 10 units
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_design_matrix_rejects(self, bad, cell, column):
+        rows = np.ones((3, 10))
+        rows[column, cell] = bad
+        with pytest.raises(ValidationError, match="non-finite entry"):
+            DesignMatrix(rows.T, ("a", "b", "c"), False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_sample_b_rejects(self, bad, cell, column):
+        values = {"x": np.arange(10.0), "y": np.ones(10)}
+        values[column][cell] = bad
+        with pytest.raises(ValidationError, match=f"non-finite value in column '{column}'"):
+            make_sample_b(values["x"], values["y"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_sample_a_rejects(self, bad, cell):
+        x, w = np.arange(10.0), np.ones(10)
+        x[cell] = bad
+        with pytest.raises(ValidationError, match="non-finite value in column 'x'"):
+            make_sample_a(x, w)
+        x[cell], w[cell] = 1.0, bad
+        with pytest.raises(ValidationError):  # -inf is a non-positive weight
+            make_sample_a(x, w)
+
+    def test_largest_finite_values_accepted(self):
+        big = np.finfo(float).max
+        assert big == 1.7976931348623157e308
+        x = np.array([-big, 0.0, big, 1.0])
+        DesignMatrix(np.array([x, x[::-1]]).T, ("a", "b"), False)
+        make_sample_b(x, x[::-1])
+        make_sample_a(x, [big, 1.0, big, 2.0])
+
+    def test_empty_design_accepted(self):
+        DesignMatrix(np.empty((0, 2)), ("a", "b"), False)
+
+    def test_checks_allocate_no_array_of_their_size(self, rng):
+        rows = rng.normal(size=(4, 50_000))
+        w = np.full(rows.shape[1], 2.0)
+        tracemalloc.start()
+        try:
+            DesignMatrix(rows.T, ("a", "b", "c", "d"), False)
+            _, design_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            make_sample_a(rows[1], w)
+            _, sample_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # np.isfinite of the values alone would take one byte a cell
+        assert design_peak < rows.size
+        assert sample_peak < w.size
+
+
 class TestOneCopyOfTheCovariates:
     """Sample B's covariates are parsed into the rows of its design, and the
     design returned for its own covariates is that array, not a copy."""
@@ -182,6 +279,51 @@ class TestOneCopyOfTheCovariates:
         other = build_design_matrix(sample, ("v",), intercept=True)
         assert not np.shares_memory(other.values, sample.columns["v"])
         np.testing.assert_array_equal(other.values, [[1.0, 2.0], [1.0, 5.0], [1.0, 1.0]])
+
+    def test_load_holds_each_column_once_in_a_fresh_process(self, tmp_path, rng):
+        # VmHWM counts every page a process has touched, not just what tracemalloc
+        # sees: the parsed numeric columns must be released as their design
+        # rows are written, not held beside the whole design
+        n = 100_000
+        block = "".join(
+            f"{a!r},{b!r},{c!r},{d!r},{'rab'[i % 3]},{e!r}\n"
+            for i, (a, b, c, d, e) in enumerate(rng.normal(size=(1000, 5)).tolist()))
+        header = "x1,x2,x3,x4,g,y\n"
+        (tmp_path / "small.csv").write_text(header + block[: block.index("\n", 5000) + 1])
+        (tmp_path / "b.csv").write_text(header + block * (n // 1000))
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(massimpute.__file__))}
+        done = subprocess.run([sys.executable, "-c", _LOAD_SCRIPT], cwd=tmp_path, env=env,
+                              timeout=60, capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout)
+        if result is None:
+            pytest.skip("no VmHWM in /proc/self/status")
+        rise, design, response = result
+        assert design == 7 * 8 * n  # the intercept, x1 to x4, g=a and g=b
+        # the design, y and g's int32 codes; the parent held x1 to x4 as
+        # parsed beside them, 3.05 MiB more
+        assert rise <= design + response + 4 * n + 1.5 * 2**20, rise
+
+
+# Loads small.csv, so that the code the load runs is resident, then b.csv,
+# and prints the rise of VmHWM over VmRSS before it, with the bytes of the
+# design and of the response.  Prints null without /proc/self/status.
+_LOAD_SCRIPT = """
+import json, os
+from massimpute import ColumnSchema, SampleKind, load_sample
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
+if not os.path.exists("/proc/self/status"):
+    print("null")
+    raise SystemExit
+schema = ColumnSchema(("x1", "x2", "x3", "x4", "g"), "y", categoricals={"g": "r"})
+load_sample("small.csv", schema, SampleKind.NON_PROBABILITY_B)
+before = status("VmRSS:")
+sample = load_sample("b.csv", schema, SampleKind.NON_PROBABILITY_B)
+print(json.dumps([status("VmHWM:") - before, sample.design_rows.nbytes,
+                  sample.responses.nbytes]))
+"""
 
 
 class TestEstimatePopulationSize:
