@@ -21,20 +21,21 @@ the first columns do not change when L grows.  Building a ``SeedSequence``
 and a generator per stream cost more than the draws, so :mod:`.seeding`
 computes every replicate's PCG64 start state in one vectorised pass of the
 same hash.  A resample's counts are ``bincount(integers(0, n, size))`` on its
-stream.  When a group of at least two resamples fits in about 2^15 draws
-(n up to 2^14), each replicate sets one PCG64 to its state and takes its raw
+stream.  When a group of at least two resamples fits in about 2^14 draws
+(n up to 2^13), each replicate sets one PCG64 to its state and takes its raw
 64-bit words, and the group applies ``integers``' own bounded-integer rule
 (Lemire's) to all of them at once, in place in one array of the group's
 values, with one flat ``bincount``.  A value the rule rejects moves every
 later value of its row, so the rare row that holds one (under 0.1% of rows
-at n = 2,000, a few percent near 2^14) is replayed on its own from its raw
+at n = 2,000, up to 1.5% near 2^13) is replayed on its own from its raw
 words, each rejected value replaced by the next.
-Larger resamples, whose per-call cost is under 1% of the draw, call
-``integers`` one replicate at a time; at n = 200,000 nearly every row holds
-a rejected value, so the group rule would draw most rows twice.  NumPy's
-stream-compatibility policy fixes the hash, PCG64's seeding and output and
-the bounded-integer rule, so the streams, and every output, are those of the
-per-stream construction bit for bit.
+Larger resamples call ``integers`` one replicate at a time, whose fixed
+cost of about 5 us a call makes a resample just above 2^13 take about a
+fifth longer than in a group, a share that falls as n grows; at n = 200,000
+nearly every row holds a rejected value, so the group rule would draw most
+rows twice.  NumPy's stream-compatibility policy fixes the hash, PCG64's
+seeding and output and the bounded-integer rule, so the streams, and every
+output, are those of the per-stream construction bit for bit.
 
 Sample A's replicate columns are built a block of replicates at a time
 (:func:`replicate_blocks`).  A block is one draw group, ``_DRAW_CELLS //
@@ -54,12 +55,17 @@ of the whole product bit for bit, and replicate k's estimate does not
 depend on L, L = 1 included.
 
 A range of refits draws its resamples in one pass of their streams, as
-does each redraw attempt, and solves each draw group (65 resamples at
+does each redraw attempt, and uses each draw group (32 resamples at
 n_B = 500) as soon as it is drawn: no L x n_B count matrix exists.
-Resamples too large to group are solved in blocks of about 2^20 counts.
-Linear refits solve :func:`~massimpute.mean_model.least_squares`, the
-full-sample fit's normal equations.  Like every sum over units, their sums
-run over unit blocks of at most 8,192 units (the block rule of
+Linear refits take :func:`~massimpute.mean_model.least_squares`, the
+full-sample fit's normal equations, in its two steps: each group's
+count-weighted sums are written into the range's L x (p+1) x (p+1) rows,
+and one finish per range and attempt screens, solves and maps back all of
+them, so its fixed cost is paid once, not once a group.  A row that fails
+the eigenvalue screen takes the exact rank test on its counts, drawn again
+on its own stream, the same row bit for bit.  Resamples too large to group
+are summed in blocks of about 2^20 counts.  Like every sum over units, the
+sums run over unit blocks of at most 8,192 units (the block rule of
 :mod:`.mean_model`), so einsum sums each row of a count matrix alike however
 many rows share it, and a lone row's coefficients are mapped back as a row
 of several: earlier columns do not move when L grows, and no group, block
@@ -68,10 +74,13 @@ or worker count changes a bit.
 Logistic and log-linear refits run one replicate at a time, each on the
 distinct rows of its resample (about 63% of n_B, gathered in row order from
 the design's p x n transpose) weighted by their draw counts: the same score
-and Jacobian as the gathered fit, summed in another order.  Newton starts at
-zero as the full-sample fit does.  A warm start at the full-sample
-coefficients saves iterations but changes which near-separated resamples fail
-and must be redrawn, and so the replicate set itself.  The release manifest
+and Jacobian as the gathered fit, summed in another order.  The rows, their
+responses and their counts as float weights are gathered into one buffer
+that the range reuses, so no block of float counts exists, and neither is
+a fresh buffer faulted in for every resample.  Newton starts at zero as the
+full-sample fit does.  A warm start at the full-sample coefficients saves
+iterations but changes which near-separated resamples fail and must be
+redrawn, and so the replicate set itself.  The release manifest
 records the number of redraws.
 """
 
@@ -107,9 +116,9 @@ _REFIT_RETRY_CAP = 10
 # resamples too large to draw in groups are refitted in blocks of about this
 # many counts, so a block's count matrix stays near 8 MiB whatever n_B is
 _BLOCK_CELLS = 2**20
-# replicates are drawn in groups of about this many draws (a few 256 KiB
+# replicates are drawn in groups of about this many draws (a few 128 KiB
 # temporaries); a resample too large for a group of two is drawn on its own
-_DRAW_CELLS = 2**15
+_DRAW_CELLS = 2**14
 _MASK32 = 0xFFFFFFFF
 
 
@@ -255,28 +264,6 @@ def replicate_weights(
     return out
 
 
-def _quasi_score_fits(family: ModelFamily, X: np.ndarray, y: np.ndarray):
-    """Newton refits in the ``solve(counts)`` shape of :func:`least_squares`,
-    each row of counts fitted on its distinct units weighted by their counts."""
-    XT = X.T
-
-    def solve(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        betas = np.zeros((len(counts), X.shape[1]))
-        ok = np.ones(len(counts), dtype=bool)
-        for j, c in enumerate(counts):
-            rows = np.flatnonzero(c)
-            try:
-                # take() gives a contiguous p x rows copy; XT[:, rows] would not
-                betas[j], _, _ = solve_quasi_score(
-                    family, XT.take(rows, axis=1).T, y[rows], c[rows]
-                )
-            except NumericalError:
-                ok[j] = False
-        return betas, ok
-
-    return solve
-
-
 def bootstrap_refit(
     sample_b: SurveySample,
     family: ModelFamily,
@@ -300,36 +287,82 @@ def bootstrap_refit(
     X = design_b.values
     y = sample_b.responses
     n, p = X.shape
-    solve = (least_squares(design_b, y) if family is ModelFamily.LINEAR
-             else _quasi_score_fits(family, X, y))
-    # a group of draws is solved as soon as it is drawn; resamples too large
-    # to group are drawn one at a time and solved in blocks
+    # a group of draws is used as soon as it is drawn; resamples too large
+    # to group are drawn one at a time and summed in blocks
     block = _DRAW_CELLS // n
     if block < 2:
         block = max(1, _BLOCK_CELLS // n)
+
+    def linear_fits(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients of the replicates ``ks`` on their draws of
+        ``attempt`` and the mask of those that fitted: each block's sums,
+        then one finish for them all."""
+        sums = np.empty((len(ks), p + 1, p + 1))
+        buffer = np.empty((min(block, len(ks)), n))  # float counts, reused
+        filled = 0
+        for rows, counts in _count_groups(seed, ks, 1, attempt, n, n):
+            buffer[filled : filled + len(counts)] = counts
+            filled += len(counts)
+            del counts  # before the block is summed
+            if filled < len(buffer) and rows.stop < len(ks):
+                continue
+            normal_sums(buffer[:filled], sums[rows.stop - filled : rows.stop])
+            filled = 0
+        del buffer  # before the finish's rank tests
+
+        def counts_of(j: int) -> np.ndarray:
+            # replicate ks[j]'s counts, drawn again on its own stream: the
+            # same row as in its group, bit for bit
+            (_, counts), = _count_groups(seed, ks[j : j + 1], 1, attempt, n, n)
+            return counts[0]
+
+        return finish(sums, counts_of)
+
+    def quasi_score_fits(ks: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        """As ``linear_fits``, each replicate fitted on its distinct units
+        weighted by their draw counts."""
+        betas, ok = np.zeros((len(ks), p)), np.ones(len(ks), dtype=bool)
+        # a resample's p x m design rows, m responses and m float weights, in
+        # contiguous slices of one buffer that every resample reuses, laid
+        # out as take()'s own results; mode="clip" takes straight into them
+        # (the default mode copies through a temporary), and every unit is in
+        # range
+        gathered = np.empty((p + 2) * n)
+        for rows, counts in _count_groups(seed, ks, 1, attempt, n, n):
+            for j, c in zip(range(rows.start, rows.stop), counts):
+                units = np.flatnonzero(c)
+                m = len(units)
+                X_units = np.take(XT, units, axis=1, mode="clip",
+                                  out=gathered[: p * m].reshape(p, m))
+                y_units = np.take(y, units, mode="clip",
+                                  out=gathered[p * m : (p + 1) * m])
+                weights = gathered[(p + 1) * m : (p + 2) * m]
+                weights[:] = c[units]
+                try:
+                    betas[j], _, _ = solve_quasi_score(family, X_units.T, y_units,
+                                                       weights)
+                except NumericalError:
+                    ok[j] = False
+            del counts, c, units  # before the next group is drawn
+        return betas, ok
+
+    if family is ModelFamily.LINEAR:
+        normal_sums, finish = least_squares(design_b, y)
+        fits = linear_fits
+    else:
+        XT = X.T
+        fits = quasi_score_fits
 
     def refit(reps: range) -> tuple[np.ndarray, int, int | None]:
         """The coefficients of ``reps``, their redraws and the lowest
         replicate that failed every redraw, or None."""
         betas = np.empty((len(reps), p))
         retries = 0
-        # reused by every block and redraw
-        buffer = np.empty((min(block, len(reps)), n))
         pending = np.arange(reps.start, reps.stop)
         for attempt in range(_REFIT_RETRY_CAP + 1):
-            failed, filled = [], 0
-            for rows, counts in _count_groups(seed, pending, 1, attempt, n, n):
-                buffer[filled : filled + len(counts)] = counts
-                filled += len(counts)
-                del counts  # before the block is solved
-                if filled < len(buffer) and rows.stop < len(pending):
-                    continue
-                ks = pending[rows.stop - filled : rows.stop]
-                fitted, ok = solve(buffer[:filled])
-                betas[ks[ok] - reps.start] = fitted[ok]
-                failed.append(ks[~ok])
-                filled = 0
-            pending = np.concatenate(failed)
+            fitted, ok = fits(pending, attempt)
+            betas[pending[ok] - reps.start] = fitted[ok]
+            pending = pending[~ok]
             if not pending.size:
                 return betas, retries, None
             retries += pending.size

@@ -60,10 +60,10 @@ DIVERGENCE_BOUND = 1e4
 # margin; the others are left to an exact rank test
 _RANK_SCREEN = 1e-8
 # with an intercept, a column whose root mean square about its mean is at most
-# this many ulps of the mean has fewer than 33 of its 53 bits left to vary:
-# constant, and the design rank deficient.  A constant stored to rounding
-# spreads by about one ulp; x ~ N(1e6, 0.05) by 2e8 ulps, and fits.
-_NEAR_CONSTANT_ULPS = 2.0**20
+# this fraction of the mean, 2^20 ulps, has fewer than 33 of its 53 bits left
+# to vary: constant, and the design rank deficient.  A constant stored to
+# rounding spreads by about one ulp; x ~ N(1e6, 0.05) by 2e8 ulps, and fits.
+_NEAR_CONSTANT = 2.0**20 * np.finfo(float).eps
 
 
 class ModelFamily(enum.Enum):
@@ -278,18 +278,21 @@ def solve_quasi_score(
 
 
 def least_squares(design: DesignMatrix, y: np.ndarray):
-    """Count-weighted least squares of ``y`` on ``design``: ``solve(counts)``
-    fits each row of a k x n count matrix (a resample's draw counts), or
-    with no counts the plain fit as one row, and returns the k x p
-    coefficients and a mask of the rows that fitted: those whose Gram matrix
-    clears an eigenvalue screen or, failing it, whose count-weighted design
-    passes the exact ``matrix_rank`` test, and solves.  As a Gram matrix
-    squares the condition number, the columns are centred on their means if
-    the design has an intercept (without one, centring would change the
-    model) and scaled by their root mean square; coefficients are mapped
-    back.  A column within ``_NEAR_CONSTANT_ULPS`` of constant, or all zero,
-    fails every row.  Each solve forms the scaled design a unit block at a
-    time.
+    """Count-weighted least squares of ``y`` on ``design``, in two steps.
+    ``normal_sums(counts, out)`` writes into the k x (p+1) x (p+1) ``out``
+    the normal-equation sums of each row of a k x n count matrix (a
+    resample's draw counts), or with no counts those of the plain fit as one
+    row.  ``finish(sums, counts_of)`` solves any number of such rows at once
+    and returns the k x p coefficients and a mask of the rows that fitted:
+    those whose Gram matrix clears an eigenvalue screen or, failing it, whose
+    count-weighted design passes the exact ``matrix_rank`` test, and solves;
+    ``counts_of(j)`` gives row j's counts for that test, and without it the
+    rows are unweighted.  As a Gram matrix squares the condition number, the
+    columns are centred on their means if the design has an intercept
+    (without one, centring would change the model) and scaled by their root
+    mean square; coefficients are mapped back.  A column within
+    ``_NEAR_CONSTANT`` of constant, or all zero, fails every row.  Each
+    pass forms the scaled design a unit block at a time.
     """
     XT = design.values.T
     p, n = XT.shape
@@ -310,19 +313,15 @@ def least_squares(design: DesignMatrix, y: np.ndarray):
     if design.intercept_included:
         shift[1:] = unit_sum(n, lambda block: XT[1:, block].sum(axis=1)) / n
     scale = np.sqrt(unit_sum(n, squares) / n)
-    constant = scale <= _NEAR_CONSTANT_ULPS * np.finfo(float).eps * np.abs(shift)
+    constant = scale <= _NEAR_CONSTANT * np.abs(shift)
     scale[constant] = 1.0
     back = np.diag(1.0 / scale)
     back[:, 0] -= shift / scale
 
-    def solve(counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        k = 1 if counts is None else len(counts)
-        if constant.any():
-            return np.zeros((k, p)), np.zeros(k, dtype=bool)
+    def normal_sums(counts: np.ndarray | None, out: np.ndarray) -> None:
         # count-weighted sums of each product row V[r] * V[c], formed one at
         # a time in each block and added to the blocks before: the Gram
         # matrix, then Z'y in column p
-        sums = np.empty((k, p + 1, p + 1))
         for block in unit_blocks(n):
             Vb = centred(block)
             Vb[:p] /= scale[:, None]
@@ -334,15 +333,20 @@ def least_squares(design: DesignMatrix, y: np.ndarray):
                     np.multiply(Vb[r], Vb[c], out=row[:width])
                     part = np.einsum("kn,n->k", weights, row[:width])
                     if block.start:
-                        part += sums[:, r, c]
-                    sums[:, r, c] = sums[:, c, r] = part
+                        part += out[:, r, c]
+                    out[:, r, c] = out[:, c, r] = part
+
+    def finish(sums: np.ndarray, counts_of=None) -> tuple[np.ndarray, np.ndarray]:
+        k = len(sums)
+        if constant.any():
+            return np.zeros((k, p)), np.zeros(k, dtype=bool)
         gram, rhs = sums[:, :p, :p], sums[:, :p, p:]
         eig = np.linalg.eigvalsh(gram)
         ok = eig[:, 0] > _RANK_SCREEN * eig[:, -1]
         if not ok.all():
             X = design.values
             for j in np.flatnonzero(~ok):
-                weighted = X if counts is None else X * np.sqrt(counts[j])[:, None]
+                weighted = X if counts_of is None else X * np.sqrt(counts_of(j))[:, None]
                 ok[j] = np.linalg.matrix_rank(weighted) == p
             # a row that failed solves to zero coefficients
             gram[~ok], rhs[~ok] = np.eye(p), 0.0
@@ -358,7 +362,7 @@ def least_squares(design: DesignMatrix, y: np.ndarray):
                     ok[j] = False
         return np.einsum("kp,pq->kq", gammas, back), ok
 
-    return solve
+    return normal_sums, finish
 
 
 def fit_model(
@@ -374,14 +378,18 @@ def fit_model(
     # every family takes the bootstrap refits' rank rule: the Gram screen,
     # else the exact test (Newton flags neither near-singular designs nor
     # short ones)
-    betas, ok = least_squares(design_matrix, y)()
+    normal_sums, finish = least_squares(design_matrix, y)
+    sums = np.empty((1, p + 1, p + 1))
+    normal_sums(None, sums)
+    betas, ok = finish(sums)
+    del normal_sums, finish  # and their unit-block buffers, before the score
     if not ok[0]:
         raise RankDeficient()
     if family is ModelFamily.LINEAR:
         beta, iterations = betas[0], 1
         score = unit_sum(n, lambda block: np.einsum(
             "in,n->i", X.T[:, block], y[block] - mean_values(family, X[block], beta)))
-        norm = float(np.max(np.abs(score / n)))
+        norm = float(np.abs(score / n).max())
     else:
         beta, iterations, norm = solve_quasi_score(family, X, y)
     return FittedModel(

@@ -3,9 +3,10 @@
 Written files use LF line endings, quote a header cell only when it contains
 a comma, a quote or a line break, and hold floats as their shortest
 round-trip representation, so reading a file back returns the exact values.
-Files with CRLF line endings read the same as LF files.
+Files with CRLF or CR line endings read the same as LF files.
 
-A file without quotes, carriage returns or NULs is parsed by numpy's C reader
+A file without quotes or NULs is opened with universal newlines, so that
+every line ending reads as LF, and parsed by numpy's C reader
 (``np.loadtxt``), a chunk of ``_READ_ROWS`` rows at a time.  The scan that
 checks the file also counts its lines, which bound its rows, so each numeric
 column is one float array of that length, into which every chunk's cells are
@@ -110,8 +111,9 @@ def _encode(cells, levels: dict) -> np.ndarray:
 
 def _read_plain(path, names, text):
     """:func:`read_columns` by ``np.loadtxt``, or None where the file or its
-    values need the checked walk."""
-    with open(path, newline="") as fh:
+    values need the checked walk.  Universal newlines give ``csv.reader``'s
+    lines: it too ends a line at CR, LF or CRLF."""
+    with open(path) as fh:
         try:  # a UnicodeDecodeError is a ValueError
             scan = _scan_plain(fh)
             # a name absent from the header, or repeated, takes the walk
@@ -168,7 +170,7 @@ def _scan_plain(fh):
     head, header, rows, lines, last = "", None, False, 0, "\n"
     size = csv.field_size_limit() // 2
     while chunk := fh.read(size):
-        if '"' in chunk or "\r" in chunk or "\0" in chunk:
+        if '"' in chunk or "\0" in chunk:
             return None
         if "," not in chunk and "\n" not in chunk:
             return None

@@ -96,8 +96,9 @@ class TestDrawCounts:
             assert np.array_equal(row, np.bincount(draws, minlength=n))
 
     # groups of _DRAW_CELLS // size replicates: thousands at n = 2, two at
-    # n = 2^14, and at n = 2^14 + 1 (size n) or 200,000 one at a time
-    @pytest.mark.parametrize("n", [2, 7, 499, 500, 2000, 2**14, 2**14 + 1, 200_000])
+    # n = 2^13, and at n = 2^13 + 1 (size n), 2^14 or 200,000 one at a time
+    @pytest.mark.parametrize("n", [2, 7, 499, 500, 2000, 2**13, 2**13 + 1, 2**14,
+                                   2**14 + 1, 200_000])
     @pytest.mark.parametrize("less", [0, 1])
     @pytest.mark.parametrize("attempt", [0, 3])
     def test_equals_numpy_integers(self, n, less, attempt):
@@ -106,9 +107,9 @@ class TestDrawCounts:
         self._assert_v1(17, np.arange(40, 40 + max(L, 3)), 1, attempt, n, n - less)
 
     def test_rejected_values_replayed(self, monkeypatch):
-        # at n = 12,289 about 3% of rows hold a value Lemire's rule rejects;
+        # at n = 8,114 about 1.5% of rows hold a value Lemire's rule rejects;
         # each such row is replayed on its own stream
-        n, ks = 12_289, np.arange(300)
+        n, ks = 8_114, np.arange(300)
         streams, redraws = _streams, []
 
         def counted(seed, ks, tag, attempt):
@@ -494,8 +495,8 @@ class TestLoneReplicate:
 
 
 class TestRangeInsideAGroup:
-    """At n_B = 500 a draw group holds 65 resamples, and the two-worker split
-    of L = 101 starts at replicate 50, inside the first group; each range
+    """At n_B = 500 a draw group holds 32 resamples, and the two-worker split
+    of L = 101 starts at replicate 50, inside the second group; each range
     and each redraw attempt is drawn from one pass of its streams."""
 
     n, L = 500, 101
@@ -509,7 +510,7 @@ class TestRangeInsideAGroup:
         return _linear_b(x, 1 + 2 * x + rng.normal(size=self.n))
 
     def test_any_worker_count_and_prefix(self, b, monkeypatch):
-        assert _DRAW_CELLS // self.n == 65
+        assert _DRAW_CELLS // self.n == 32
         assert workers.split(self.L, 2)[1].start == 50
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         sample, design = b
@@ -522,6 +523,26 @@ class TestRangeInsideAGroup:
 
 
 class TestBootstrapRefit:
+    def test_one_finish_per_range(self, rng, monkeypatch):
+        # the L = 500 refits of a paper rep add each draw group's sums to
+        # their rows and screen and solve all 500 rows in one call each
+        x = rng.normal(2, 1, size=500)
+        sample, dm = _linear_b(x, 1 + 2 * x + rng.normal(size=500))
+        calls = {"eigvalsh": 0, "solve": 0}
+
+        def counted(name):
+            def call(*args, _fn=getattr(np.linalg, name)):
+                calls[name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(np.linalg, name, call)
+
+        counted("eigvalsh")
+        counted("solve")
+        betas, retries = bootstrap_refit(sample, ModelFamily.LINEAR, dm, L=500, seed=3,
+                                         workers=1)
+        assert retries == 0 and betas.shape == (500, 2)
+        assert calls == {"eigvalsh": 1, "solve": 1}
+
     def test_degenerate_sample_gives_constant_coefficients(self):
         sample = make_sample_b(np.zeros(6), np.full(6, 4.0))
         dm = build_design_matrix(sample, (), intercept=True)
@@ -713,7 +734,7 @@ class TestSampleAReplicates:
     """The ``bootstrap`` command's n_A x L replicate columns, each draw group
     built in its own columns, are those of :func:`replicate_blocks`."""
 
-    n_a = 2_000  # draw groups of 16 columns
+    n_a = 2_000  # draw groups of 8 columns
 
     @pytest.fixture(params=[ModelFamily.LINEAR, ModelFamily.LOGISTIC])
     def fitted(self, request, rng):
@@ -753,8 +774,8 @@ class TestSampleAReplicates:
             tracemalloc.stop()
         # the two n_A x L matrices and the base imputations (3.07 MiB); a
         # draw group's raw words, products, draws and counts take about
-        # 0.9 MiB, and a copy of a group's weights or imputations beside
-        # them 0.24 MiB more
+        # 0.5 MiB (0.9 MiB in groups of 16 columns), and a copy of a group's
+        # weights or imputations beside them 0.12 MiB more
         outputs = (2 * len(betas) + 1) * self.n_a * 8
         assert peak < outputs + 1.25 * 2**20
 
@@ -798,10 +819,11 @@ class TestAugmentedFile:
         assert theta_file == pytest.approx(theta, abs=1e-12)
         assert v_file == pytest.approx(v_mem, abs=1e-12)
 
-    @pytest.mark.parametrize("L", [1, 2, _DRAW_CELLS // 499 + 1])
+    @pytest.mark.parametrize("L", [1, 2, _DRAW_CELLS // 499 + 1, 66])
     def test_estimates_from_strided_columns(self, tmp_path, rng, L):
         # the file's replicate columns are strided views of one row-major
-        # block; with n_A = 500 and L = b + 1 the last block is a lone column
+        # block; with n_A = 500 and L = b + 1 the last block is a lone column,
+        # and with L = 66 one of two
         model, sample_a, sample_b, design_a, design_b = _small_setup(rng, n_a=500)
         reps = build_replicates(model, sample_a, sample_b, design_a, design_b,
                                 srs_design(50_000.0), L=L, seed=6)
