@@ -18,24 +18,24 @@ weights, tag 1 for the resample of B and attempt counting redraws, so output
 is identical whether replicates are computed serially or in parallel
 (contiguous ranges of them in forked worker processes, :mod:`.workers`), and
 the first columns do not change when L grows.  Building a ``SeedSequence``
-and a generator per stream cost more than the draws, so :mod:`.seeding`
-computes every replicate's PCG64 start state in one vectorised pass of the
-same hash.  A resample's counts are ``bincount(integers(0, n, size))`` on its
-stream.  When a group of at least two resamples fits in about 2^14 draws
-(n up to 2^13), each replicate sets one PCG64 to its state and takes its raw
-64-bit words, and the group applies ``integers``' own bounded-integer rule
-(Lemire's) to all of them at once, in place in one array of the group's
-values, with one flat ``bincount``.  A value the rule rejects moves every
-later value of its row, so the rare row that holds one (under 0.1% of rows
-at n = 2,000, up to 1.5% near 2^13) is replayed on its own from its raw
-words, each rejected value replaced by the next.
-Larger resamples call ``integers`` one replicate at a time, whose fixed
+per stream cost more than the draws, so :mod:`.seeding` computes every
+replicate's seed words in one vectorised pass of the same hash, and numpy
+seeds each replicate's own PCG64 from its words.  A resample's counts are
+``bincount(integers(0, n, size))`` on its stream.  When a group of at least
+two resamples fits in about 2^14 draws (n up to 2^13), each replicate's
+PCG64 gives its raw 64-bit words, and the group applies ``integers``' own
+bounded-integer rule (Lemire's) to all of them at once, in place in one
+array of the group's values, with one flat ``bincount``.  A value the rule
+rejects moves every later value of its row, so the rare row that holds one
+(under 0.1% of rows at n = 2,000, up to 1.5% near 2^13) is replayed on its
+own from its raw words, each rejected value replaced by the next.  Larger
+resamples call ``integers`` one replicate at a time, whose fixed
 cost of about 5 us a call makes a resample just above 2^13 take about a
 fifth longer than in a group, a share that falls as n grows; at n = 200,000
 nearly every row holds a rejected value, so the group rule would draw most
 rows twice.  NumPy's stream-compatibility policy fixes the hash, PCG64's
-seeding and output and the bounded-integer rule, so the streams, and every
-output, are those of the per-stream construction bit for bit.
+output and the bounded-integer rule, so the streams, and every output, are
+those of the per-stream construction bit for bit.
 
 Sample A's replicate columns are built a block of replicates at a time
 (:func:`replicate_blocks`).  A block is one draw group, ``_DRAW_CELLS //
@@ -86,6 +86,7 @@ records the number of redraws.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -108,7 +109,7 @@ from .mean_model import (
     predict_all,
     solve_quasi_score,
 )
-from .seeding import pcg64_states
+from .seeding import seed_words
 from .table import read_columns, read_json, write_table
 from .workers import fork_map
 
@@ -132,26 +133,33 @@ class ReplicateSet:
     refit_retries: int = 0
 
 
-def _streams(seed: int, ks, tag: int, attempt: int = 0):
-    """Yield, for each k in ``ks``, a generator at the start of the stream
-    ``default_rng(SeedSequence([seed, k, tag, attempt]))``.
+@functools.cache
+def _seed_words_class():
+    """The ``ISeedSequence`` whose state is a row of :func:`seed_words`, so
+    that numpy seeds a PCG64 from the row.  It is made at the first draw:
+    importing numpy.random imports hashlib, which
+    :func:`~massimpute.workers.use_builtin_hashes` must precede."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    It is one generator re-seeded for every k, so take k's draws before
-    asking for the next.  Each call makes its own generator, so concurrent
-    callers share no state.  :func:`_count_groups` takes raw words from its
-    bit generator in small groups, and calls its ``integers`` for large
-    resamples.
-    """
-    bit_generator = np.random.PCG64(0)
-    gen = np.random.Generator(bit_generator)
-    for state, inc in pcg64_states(seed, ks, tag, attempt):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _streams(seed: int, ks, tag: int, attempt: int = 0):
+    """Yield, for each k in ``ks``, a PCG64 at the start of the stream
+    ``default_rng(SeedSequence([seed, k, tag, attempt]))``.
+    :func:`_count_groups` takes raw words from it in small groups, and
+    draws ``integers`` from it for large resamples."""
+    words = seed_words(seed, ks, tag, attempt)
+    SeedWords = _seed_words_class()
+    for row in words:
+        yield np.random.PCG64(SeedWords(row))
 
 
 # integers(0, n) takes 32-bit values u, the low and then the high half of
@@ -187,9 +195,9 @@ def _count_groups(seed: int, ks, tag: int, attempt: int, n: int, size: int):
     group = min(_DRAW_CELLS // size, len(ks))
     streams = _streams(seed, ks, tag, attempt)
     if group < 2:
-        for j, gen in enumerate(streams):
-            yield slice(j, j + 1), np.bincount(gen.integers(0, n, size=size),
-                                               minlength=n)[None]
+        for j, bit_generator in enumerate(streams):
+            draws = np.random.Generator(bit_generator).integers(0, n, size=size)
+            yield slice(j, j + 1), np.bincount(draws, minlength=n)[None]
         return
     threshold = (2**32 - n) % n
     raw = np.empty((group, -(-size // 2)), np.uint64)
@@ -197,8 +205,8 @@ def _count_groups(seed: int, ks, tag: int, attempt: int, n: int, size: int):
     offsets = np.arange(0, group * n, n)[:, None]
     for start in range(0, len(ks), group):
         rows = min(group, len(ks) - start)
-        for j, gen in zip(range(rows), streams):
-            raw[j] = gen.bit_generator.random_raw(raw.shape[1])
+        for j, bit_generator in zip(range(rows), streams):
+            raw[j] = bit_generator.random_raw(raw.shape[1])
         u = raw[:rows].astype("<u8", copy=False).view("<u4")
         d = np.multiply(u[:, :size], n, out=values[:rows], dtype=np.int64)
         short = ()
@@ -208,8 +216,8 @@ def _count_groups(seed: int, ks, tag: int, attempt: int, n: int, size: int):
         # a rejected value shifts the rest of its row, so the rare row that
         # holds one is replayed on its own
         for j in short:
-            gen = next(_streams(seed, ks[start + j : start + j + 1], tag, attempt))
-            d[j] = _replay(gen.bit_generator, n, size)
+            bit_generator, = _streams(seed, ks[start + j : start + j + 1], tag, attempt)
+            d[j] = _replay(bit_generator, n, size)
         d += offsets[:rows]
         yield slice(start, start + rows), np.bincount(
             d.ravel(), minlength=rows * n).reshape(rows, n)
@@ -602,14 +610,16 @@ def read_augmented_dataset(path, with_sample: bool = False) -> AugmentedDataset:
     manifest is parsed, and the model's covariate columns are read in the
     same pass as the weights to give sample A, for the linearized variance.
     A malformed manifest, a missing column, a bad cell (see
-    :func:`~massimpute.table.read_columns`) or a non-positive weight raises
-    :class:`ValidationError`.
+    :func:`~massimpute.table.read_columns`), a non-positive weight, a
+    release file with a replicate pair beyond its manifest's L or with other
+    than the manifest's ``n_a`` rows raises :class:`ValidationError`.
     """
     mpath = manifest_path(path)
     manifest = read_json(mpath)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("weight_name"), str):
         raise ValidationError(f"{mpath}: no 'weight_name' column name")
-    L = 0 if manifest.get("format") == IMPUTED_FORMAT else manifest.get("L")
+    imputed = manifest.get("format") == IMPUTED_FORMAT
+    L = 0 if imputed else manifest.get("L")
     if type(L) is not int or L < 0:
         raise ValidationError(f"{mpath}: 'L' must be an integer >= 0, got {L!r}")
     N = manifest.get("population_size")
@@ -625,9 +635,13 @@ def read_augmented_dataset(path, with_sample: bool = False) -> AugmentedDataset:
 
     reps = [f"{kind}_rep_{k + 1}" for kind in ("w", "yhat") for k in range(L)]
     names = [manifest["weight_name"], "yhat", *reps]
-    columns = read_columns(path, [*names, *covariates])
-    # a row-major block, the layout of an in-memory replicate set, so sums
-    # over units add in the same order
+    # exactly the manifest's L pairs: a further pair is refused, not ignored
+    columns = read_columns(path, [*names, *covariates],
+                           absent=(f"w_rep_{L + 1}", f"yhat_rep_{L + 1}"))
+    rows, n_a = len(columns[names[0]]), manifest.get("n_a")
+    if not imputed and (type(n_a) is not int or n_a != rows):
+        raise ValidationError(f"{mpath}: 'n_a' is {n_a!r}, but {path} has {rows} rows")
+    # the columns as one 2-D block, sliced below into the dataset's arrays
     data = np.column_stack([columns[name] for name in names])
     bad = np.flatnonzero(data[:, 0] <= 0)
     if bad.size:

@@ -56,9 +56,14 @@ def _sha256(path) -> str:
 
 
 def _write_json(path, doc) -> None:
+    """Write ``doc``; a non-finite number in it raises :class:`NumericalError`
+    before the file is opened."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError(f"{path}: a result is not finite") from None
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--sample-a", required=True)
     p.add_argument("--weight", required=True)
-    p.add_argument("--categorical", type=_categorical, action="append",
-                   metavar="COL=REF")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate", help="point estimate with optional variance")
@@ -298,14 +301,9 @@ def _load_sample_a(args, model, schema):
 
 
 def cmd_impute(args) -> int:
-    typed = dict(args.categorical or ())
     model_doc = read_json(args.model)
     model = FittedModel.from_dict(model_doc)
-    schema = _model_schema(model_doc)
-    categoricals = {**schema.categoricals, **typed}
-    sample_a, design_a = _load_sample_a(
-        args, model, replace(schema, categoricals=categoricals)
-    )
+    sample_a, design_a = _load_sample_a(args, model, _model_schema(model_doc))
     yhat = predict_all(model, design_a)
 
     names = list(sample_a.covariate_names) + [args.weight]

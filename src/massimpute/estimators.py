@@ -16,7 +16,7 @@ from .data_model import (
     SurveySample,
     estimate_population_size,
 )
-from .errors import ColumnMismatch, DimensionMismatch, ZeroPropensity
+from .errors import ColumnMismatch, DimensionMismatch, NumericalError, ZeroPropensity
 from .mean_model import (
     FittedModel,
     ModelFamily,
@@ -34,7 +34,12 @@ def ht_mean(values: np.ndarray, weights: np.ndarray, population_size: float) -> 
         raise DimensionMismatch("values and weights differ in length")
     if population_size <= 0:
         raise DimensionMismatch("population size must be positive")
-    return float(np.sum(weights * values) / population_size)
+    # a total too large for a float is refused, not returned as inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(weights * values)
+    if not np.isfinite(total):
+        raise NumericalError("the weighted total is not finite: it overflows")
+    return float(total / population_size)
 
 
 def mass_imputation_estimate(

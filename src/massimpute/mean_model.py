@@ -166,10 +166,11 @@ class FittedModel:
     def from_dict(cls, doc) -> "FittedModel":
         """Read a parsed model document; keys it does not use, such as the
         ``h_choice`` that older files carry, are ignored.  A document that is
-        not an object, or a missing or malformed field, raises
+        not an object, a missing or malformed field, a non-finite number, or
+        coefficients that are not one per covariate name raise
         :class:`ValidationError`."""
         try:
-            return cls(
+            model = cls(
                 family=ModelFamily(doc["family"]),
                 beta_hat=np.array(doc["beta_hat"], dtype=float),
                 covariate_names=tuple(doc["covariate_names"]),
@@ -179,6 +180,22 @@ class FittedModel:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed model document: {exc!r}") from None
+        for problem, ok in (
+            ("'beta_hat' must hold one number per name of 'covariate_names'",
+             model.beta_hat.shape == (len(model.covariate_names),)),
+            ("'beta_hat' must be finite", np.isfinite(model.beta_hat).all()),
+            ("'intercept_included' must be true or false",
+             type(model.intercept_included) is bool),
+            ("'iterations' must be an integer", type(model.iterations) is int),
+            # the imputed-file manifest copies the document, and no output
+            # holds a non-finite number
+            ("'final_score_norm' must be a finite number",
+             isinstance(model.final_score_norm, (int, float))
+             and math.isfinite(model.final_score_norm)),
+        ):
+            if not ok:
+                raise ValidationError(f"malformed model document: {problem}")
+        return model
 
 
 def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):

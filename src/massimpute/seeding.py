@@ -1,11 +1,11 @@
-"""PCG64 start states of many ``SeedSequence`` streams in one pass.
+"""The seed words of many ``SeedSequence`` streams in one pass.
 
-``pcg64_states(seed, ks, tag, attempt)`` gives, for every k, the state of
-``np.random.default_rng(np.random.SeedSequence([seed, k, tag, attempt]))``.
-NumPy's stream-compatibility policy fixes both algorithms re-implemented
-here: how ``SeedSequence`` mixes a list of integers into its pool of four
-32-bit words and draws ``generate_state(4, uint64)`` from it, and how PCG64
-turns those four 64-bit words into its 128-bit state and increment.
+``seed_words(seed, ks, tag, attempt)`` gives, for every k, the four 64-bit
+words that ``np.random.SeedSequence([seed, k, tag, attempt])`` gives as
+``generate_state(4, uint64)``, the words from which PCG64 seeds itself.
+NumPy's stream-compatibility policy fixes the algorithm re-implemented here:
+how ``SeedSequence`` mixes a list of integers into its pool of four 32-bit
+words and draws those words from it.
 
 The hash constants are one fixed sequence whatever the entropy, so each hash
 step is one array operation over all k.  Words are kept in int64 arrays
@@ -20,12 +20,10 @@ import numpy as np
 from .errors import ValidationError
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(n: int) -> list[int]:
@@ -60,15 +58,13 @@ class _HashMix:
         return value ^ (value >> 16)
 
 
-def pcg64_states(seed: int, ks, tag: int, attempt: int = 0):
-    """Yield ``(state, inc)`` of the PCG64 stream ``SeedSequence([seed, k,
-    tag, attempt])`` for each k in ``ks``, in order."""
+def seed_words(seed: int, ks, tag: int, attempt: int = 0) -> np.ndarray:
+    """The len(ks) x 4 native-endian uint64 array whose row j is
+    ``SeedSequence([seed, ks[j], tag, attempt]).generate_state(4, uint64)``."""
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     ks = np.asarray(ks, dtype=np.int64)
-    if not ks.size:
-        return
-    if ks.min() < 0 or ks.max() > _MASK32:
+    if ks.size and (ks.min() < 0 or ks.max() > _MASK32):
         # a k of 2^32 or more is two entropy words, not the one assumed here
         raise ValidationError("replicate index must lie in [0, 2^32)")
     entropy = [*_words(int(seed)), ks, *_words(int(tag)), *_words(int(attempt))]
@@ -92,11 +88,4 @@ def pcg64_states(seed: int, ks, tag: int, attempt: int = 0):
         const = (const * _MULT_B) & _MASK32
         value = _mul(value, const)
         out.append(value ^ (value >> 16))
-    words = np.stack(out, axis=1).astype("<u4").view("<u8")
-
-    # PCG64 seeding from initstate s (words 0-1) and sequence i (words 2-3),
-    # in Python ints made one k at a time: they take 4x an array's memory
-    for row in words:
-        s_hi, s_lo, i_hi, i_lo = row.tolist()
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    return np.stack(out, axis=1).astype("<u4").view("<u8").astype(np.uint64, copy=False)

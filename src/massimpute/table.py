@@ -34,6 +34,7 @@ from .errors import (
     MissingValue,
     NonFiniteValue,
     NonNumericValue,
+    NumericalError,
     RaggedRow,
     ValidationError,
 )
@@ -53,7 +54,8 @@ _READ_ROWS = 2**14
 def write_table(path, header, columns) -> None:
     """Write equal-length numeric columns under a header row; columns of
     unequal length, a header of another width or one that repeats a name
-    raise :class:`ValidationError` before the file is opened."""
+    raise :class:`ValidationError`, and a non-finite value
+    :class:`NumericalError`, before the file is opened."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = len(columns[0]) if columns else 0
     if len(header) != len(columns) or any(len(c) != n for c in columns):
@@ -63,6 +65,9 @@ def write_table(path, header, columns) -> None:
     if len(set(header)) < len(header):  # a reader would take the first
         raise ValidationError(f"{path}: the header repeats the names "
                               f"{sorted({h for h in header if header.count(h) > 1})}")
+    for name, column in zip(header, columns):
+        if not np.isfinite(column).all():
+            raise NumericalError(f"{path}: column {name!r} holds a non-finite number")
     rows = max(1, _WRITE_CELLS // max(1, len(columns)))
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
@@ -73,7 +78,7 @@ def write_table(path, header, columns) -> None:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
-def read_columns(path, names, text=()) -> dict[str, np.ndarray | TextColumn]:
+def read_columns(path, names, text=(), absent=()) -> dict[str, np.ndarray | TextColumn]:
     """The columns ``names`` of a CSV file, every cell checked: those in
     ``text`` as :class:`TextColumn` codes of their stripped cells, the others
     as contiguous float arrays of the cells Python's ``float()`` accepts.
@@ -81,13 +86,14 @@ def read_columns(path, names, text=()) -> dict[str, np.ndarray | TextColumn]:
     Blank lines are skipped.  Raises :class:`EmptyFile` for no data row,
     :class:`RaggedRow` for a row whose cell count differs from the header's,
     :class:`MissingColumn` for the first name absent from the header, or
-    :class:`ValidationError` for the first it repeats, then, column by column
+    :class:`ValidationError` for the first it repeats, or for the first name
+    of ``absent`` that it holds, then, column by column
     in the order of ``names``, :class:`MissingValue`, :class:`NonNumericValue`
     or :class:`NonFiniteValue` for the first bad cell.  Rows are numbered
     from 1 over data rows.  The module docstring names the two parse paths.
     """
-    columns = _read_plain(path, names, text)
-    return _read_checked(path, names, text) if columns is None else columns
+    columns = _read_plain(path, names, text, absent)
+    return _read_checked(path, names, text, absent) if columns is None else columns
 
 
 @dataclass(frozen=True)
@@ -109,15 +115,17 @@ def _encode(cells, levels: dict) -> np.ndarray:
                        np.int32, len(cells))
 
 
-def _read_plain(path, names, text):
+def _read_plain(path, names, text, absent=()):
     """:func:`read_columns` by ``np.loadtxt``, or None where the file or its
     values need the checked walk.  Universal newlines give ``csv.reader``'s
     lines: it too ends a line at CR, LF or CRLF."""
     with open(path) as fh:
         try:  # a UnicodeDecodeError is a ValueError
             scan = _scan_plain(fh)
-            # a name absent from the header, or repeated, takes the walk
-            if scan is None or any(scan[0].count(name) != 1 for name in names):
+            # a name absent from the header, or repeated, takes the walk, as
+            # does a name of ``absent`` that it holds
+            if (scan is None or any(scan[0].count(name) != 1 for name in names)
+                    or not set(scan[0]).isdisjoint(absent)):
                 return None
             header, bound = scan
             index = {name: header.index(name) for name in names}
@@ -190,7 +198,7 @@ def _scan_plain(fh):
     return (header, lines + (last != "\n")) if rows else None
 
 
-def _read_checked(path, names, text):
+def _read_checked(path, names, text, absent=()):
     """:func:`read_columns` by ``csv.reader``, every cell checked."""
     try:
         with open(path, newline="") as fh:
@@ -210,6 +218,9 @@ def _read_checked(path, names, text):
         if header.count(name) > 1:
             raise ValidationError(f"{path}: column {name!r} appears "
                                   f"{header.count(name)} times in the header")
+    for name in absent:
+        if name in header:
+            raise ValidationError(f"{path}: unexpected column {name!r}")
     index = {name: header.index(name) for name in names}
 
     numeric = [name for name in index if name not in text]

@@ -50,13 +50,14 @@ def _v1_stream(seed, k, tag, attempt=0):
 
 
 class TestStreams:
-    """The re-seeded generators against one generator built per stream."""
+    """The PCG64 of each stream against one generator built per stream."""
 
     @staticmethod
     def _assert_v1(seed, ks, tag, attempt):
-        for k, gen in zip(ks, _streams(seed, ks, tag, attempt)):
+        for k, bit_generator in zip(ks, _streams(seed, ks, tag, attempt)):
             ref = _v1_stream(seed, k, tag, attempt)
-            assert gen.bit_generator.state == ref.bit_generator.state
+            assert bit_generator.state == ref.bit_generator.state
+            gen = np.random.Generator(bit_generator)
             # 32-bit buffered draws, then full 64-bit ones
             assert np.array_equal(gen.integers(0, 1000, size=7),
                                   ref.integers(0, 1000, size=7))
@@ -72,6 +73,15 @@ class TestStreams:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
     def test_equals_seed_sequence_at_word_boundaries(self, seed):
         self._assert_v1(seed, np.array([*range(20), 2**32 - 1]), 1, 3)
+
+    def test_streams_drawn_interleaved_are_independent(self):
+        # both streams are taken before either is drawn from
+        first, second = _streams(7, np.array([3, 4]), 1, 2)
+        interleaved = [first.random_raw(5), second.random_raw(5),
+                       first.random_raw(5), second.random_raw(5)]
+        for k, words in ((3, interleaved[0::2]), (4, interleaved[1::2])):
+            expected = _v1_stream(7, k, 1, 2).bit_generator.random_raw(10)
+            assert np.array_equal(np.concatenate(words), expected)
 
     def test_index_of_two_words_rejected(self):
         with pytest.raises(ValidationError, match="2\\^32"):
@@ -125,9 +135,9 @@ class TestDrawCounts:
     def test_replay_takes_the_next_values(self, n):
         # at n = 2^30 + 1 about a quarter of the values are rejected, so the
         # replay draws several further runs of words
-        gen = next(_streams(5, np.arange(1), 1, 0))
+        bit_generator = next(_streams(5, np.arange(1), 1, 0))
         expected = _v1_stream(5, 0, 1, 0).integers(0, n, size=999)
-        assert np.array_equal(_replay(gen.bit_generator, n, 999), expected)
+        assert np.array_equal(_replay(bit_generator, n, 999), expected)
 
 
 class TestReplicateWeights:

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 
 import numpy as np
@@ -160,9 +161,9 @@ class TestPipeline:
         _, imputed = self._fit_impute(pipeline_files)
         reads = []
         for module in (bootstrap, data_model):
-            def counted(path, *args, _read=module.read_columns):
+            def counted(path, *args, _read=module.read_columns, **kwargs):
                 reads.append(str(path))
-                return _read(path, *args)
+                return _read(path, *args, **kwargs)
             monkeypatch.setattr(module, "read_columns", counted)
         assert run_cli([
             "estimate", "--imputed", str(imputed), "--variance", "linearized",
@@ -446,6 +447,10 @@ def test_bad_config_value_exits_2(command, config, pipeline_files, capsys):
                  id="unknown subcommand"),
     pytest.param(["--config"], "--config: expected one argument",
                  id="config without value"),
+    # the model's schema fixes every categorical column and its level
+    pytest.param(["impute", "--model", "m.json", "--sample-a", "b.csv", "--weight", "w",
+                  "--categorical", "g=r", "--out", "i.csv"],
+                 "unrecognized arguments: --categorical", id="impute categorical"),
     # the pre-parser for --config must not leave cfg.json to be read as the
     # subcommand
     pytest.param(["--conf", "cfg.json", "fit", "--train", "b.csv", "--response", "y",
@@ -820,6 +825,91 @@ def _edit_manifest(csv_path, edit):
     path.write_text(edit(path.read_text()))
 
 
+def _fit_model_file(files) -> pathlib.Path:
+    model = files["dir"] / "model.json"
+    assert run_cli(["fit", "--train", files["train"], "--response", "y",
+                    "--covariates", "x", "--out", str(model)]) == 0
+    return model
+
+
+def _edit_model_file(model, field, value):
+    doc = json.loads(model.read_text())
+    doc[field] = value
+    model.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where", ["model file", "imputed manifest"])
+@pytest.mark.parametrize("field, value, message", [
+    ("beta_hat", [float("nan"), 2.0], "'beta_hat' must be finite"),
+    ("beta_hat", [float("inf"), 2.0], "'beta_hat' must be finite"),
+    ("beta_hat", [1.0], "one number per name of 'covariate_names'"),
+    ("beta_hat", [1.0, 2.0, 3.0], "one number per name of 'covariate_names'"),
+    ("intercept_included", "yes", "'intercept_included' must be true or false"),
+    ("iterations", 1.5, "'iterations' must be an integer"),
+    ("final_score_norm", float("nan"), "'final_score_norm' must be a finite number"),
+], ids=["beta nan", "beta inf", "beta short", "beta long", "intercept string",
+        "iterations float", "score norm nan"])
+def test_malformed_model_document_exits_3(where, field, value, message,
+                                          pipeline_files, capsys):
+    files, d = pipeline_files, pipeline_files["dir"]
+    model, imputed = _fit_model_file(files), d / "imputed.csv"
+    impute = ["impute", "--model", str(model), "--sample-a", files["sample_a"],
+              "--weight", "w", "--out", str(imputed)]
+    if where == "model file":
+        _edit_model_file(model, field, value)
+        argv = impute
+    else:
+        assert run_cli(impute) == 0
+        def edit(text):
+            doc = json.loads(text)
+            doc["model"][field] = value
+            return json.dumps(doc)
+        _edit_manifest(imputed, edit)
+        argv = ["estimate", "--imputed", str(imputed), "--variance", "linearized",
+                "--train", files["train"], "--report", str(d / "r.json")]
+    capsys.readouterr()
+    assert run_cli(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert message in err["message"]
+    assert not (d / "r.json").exists()
+    if where == "model file":
+        assert not imputed.exists()
+
+
+def test_overflowing_estimate_exits_4(pipeline_files, capsys):
+    # an intercept of 1e308 predicts a finite 1e308 for every unit, but the
+    # weighted total overflows: no report may hold Infinity
+    files, d = pipeline_files, pipeline_files["dir"]
+    model, imputed, report = _fit_model_file(files), d / "imputed.csv", d / "r.json"
+    beta = json.loads(model.read_text())["beta_hat"]
+    _edit_model_file(model, "beta_hat", [1e308, beta[1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert run_cli(["impute", "--model", str(model), "--sample-a",
+                        files["sample_a"], "--weight", "w", "--out", str(imputed)]) == 0
+        with open(imputed) as fh:
+            yhat = [float(row["yhat"]) for row in csv.DictReader(fh)]
+        assert np.isfinite(yhat).all() and min(yhat) >= 1e308
+        capsys.readouterr()
+        assert run_cli(["estimate", "--imputed", str(imputed),
+                        "--report", str(report)]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "NumericalError"
+    assert "not finite" in json.loads(captured.err)["message"]
+    assert not report.exists()
+
+
+def test_report_with_a_non_finite_number_is_not_written(tmp_path):
+    from massimpute import cli
+    from massimpute.errors import NumericalError
+
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(NumericalError, match="not finite"):
+            cli._write_json(tmp_path / "r.json", {"variance": {"v_total": value}})
+    assert not (tmp_path / "r.json").exists()
+
+
 def _bad_input_case(case, files):
     """Arguments for one malformed-input case."""
     d = files["dir"]
@@ -833,8 +923,16 @@ def _bad_input_case(case, files):
                 "--report", str(d / "r.json")]
     if case in ("truncated manifest", "manifest without L", "non-integer L",
                 "linearized on release file", "non-positive release weight",
-                "non-numeric replicate cell", "release without w_rep column"):
+                "non-numeric replicate cell", "release without w_rep column",
+                "release with a pair beyond L", "release n_a not its rows"):
         assert run_cli(boot) == 0
+    if case == "release with a pair beyond L":
+        # three pairs under a manifest that says two
+        _edit_manifest(release, lambda text: json.dumps({**json.loads(text), "L": 2}))
+        return estimate
+    if case == "release n_a not its rows":
+        _edit_manifest(release, lambda text: json.dumps({**json.loads(text), "n_a": 7}))
+        return estimate
     if case == "truncated manifest":
         _edit_manifest(release, lambda text: text[:20])
         return estimate
@@ -1013,6 +1111,8 @@ def _bad_input_case(case, files):
     ("model without beta_hat", 3, "ValidationError"),
     ("non-numeric replicate cell", 3, "NonNumericValue"),
     ("release without w_rep column", 3, "MissingColumn"),
+    ("release with a pair beyond L", 3, "ValidationError"),
+    ("release n_a not its rows", 3, "ValidationError"),
     ("model schema not an object", 3, "ValidationError"),
     ("model schema categoricals a list", 3, "ValidationError"),
     ("model schema covariates a string", 3, "ValidationError"),
@@ -1032,6 +1132,10 @@ def test_bad_input_exits_with_json_error(
         assert "column 'yhat_rep_2', row 4" in err["message"]
     if case == "release without w_rep column":
         assert "'w_rep_3'" in err["message"]
+    if case == "release with a pair beyond L":
+        assert "unexpected column 'w_rep_3'" in err["message"]
+    if case == "release n_a not its rows":
+        assert "'n_a' is 7, but" in err["message"] and "40 rows" in err["message"]
     if case.startswith("model schema"):
         assert "schema" in err["message"]
     if case.startswith("negative"):

@@ -19,6 +19,7 @@ from massimpute.errors import (
     MissingValue,
     NonFiniteValue,
     NonNumericValue,
+    NumericalError,
     RaggedRow,
     ValidationError,
 )
@@ -309,6 +310,22 @@ def test_repeated_name_raises_only_when_asked_for(tmp_path, text):
     assert read_columns(path, ["y"])["y"].tolist() == [2.0]
     assert (_outcome(read_columns, path, ["y", "x"], ())
             == _outcome(table._read_checked, path, ["y", "x"], ()))
+
+
+@pytest.mark.parametrize("text", ["x,y,z\n1,2,3\n", 'x,y, z \n1,2,"3"\n'],
+                         ids=["plain", "walk"])
+def test_column_that_must_be_absent_raises(tmp_path, text):
+    path = _write(tmp_path / "t.csv", text)
+    with pytest.raises(ValidationError, match="unexpected column 'z'"):
+        read_columns(path, ["x"], absent=("w", "z"))
+    assert read_columns(path, ["x"], absent=("w",))["x"].tolist() == [1.0]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_table_rejects_a_non_finite_value(tmp_path, value):
+    with pytest.raises(NumericalError, match="column 'y' holds a non-finite"):
+        write_table(tmp_path / "t.csv", ["x", "y"], [[1.0, 2.0], [3.0, value]])
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_write_table_bytes_with_repeated_values(tmp_path, rng):
