@@ -45,14 +45,13 @@ coefficients' predictions, multiplied by einsum, so a column's bits do not
 depend on the block's width.  Two consumers take the same blocks: the Monte
 Carlo reduces each block straight to its replicate estimates
 (:func:`sample_a_estimates`), so no n_A x L array exists in a rep, and the
-``bootstrap`` command builds each block in its own columns of the n_A x L
-release columns (:func:`sample_a_replicates`), so no block is copied: the
-weights are multiplied, and the imputations predicted, into them.  A block's
-sum over units adds each column's rows in order, as numpy sums the columns
-of a C-order n_A x L product, and a lone column is summed beside a copy of
-itself, since numpy sums one column pairwise.  So the estimates are those
-of the whole product bit for bit, and replicate k's estimate does not
-depend on L, L = 1 included.
+``bootstrap`` command copies each block into its columns of the n_A x L
+release columns (:func:`sample_a_replicates`).  A block's sum over units
+adds each column's rows in order, as numpy sums the columns of a C-order
+n_A x L product, and a lone column is summed beside a copy of itself, since
+numpy sums one column pairwise.  So the estimates are those of the whole
+product bit for bit, and replicate k's estimate does not depend on L, L = 1
+included.
 
 A range of refits draws its resamples in one pass of their streams, as
 does each redraw attempt, and uses each draw group (32 resamples at
@@ -93,7 +92,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DesignKind, DesignMatrix, DesignSpec, SampleKind, SurveySample
+from .data_model import (
+    ColumnSchema,
+    DesignKind,
+    DesignMatrix,
+    DesignSpec,
+    SampleKind,
+    SurveySample,
+)
 from .errors import (
     IOFailure,
     NonPositiveWeight,
@@ -101,12 +107,14 @@ from .errors import (
     UnsupportedDesign,
     ValidationError,
 )
+from .estimators import per_population
 from .mean_model import (
     FittedModel,
     ModelFamily,
     least_squares,
     mean_values,
     predict_all,
+    read_model_document,
     solve_quasi_score,
 )
 from .seeding import seed_words
@@ -224,11 +232,10 @@ def _count_groups(seed: int, ks, tag: int, attempt: int, n: int, size: int):
 
 
 def _weight_blocks(sample_a: SurveySample, design_spec: DesignSpec, L: int,
-                   seed: int, out: np.ndarray | None = None):
+                   seed: int):
     """Check the design, then return an iterator of (columns, weights): the
     rescaling-bootstrap weights of each draw group of the L replicates
-    (:func:`_count_groups`), an n x b block that the next block overwrites,
-    or, given an n x L ``out``, the block's columns of ``out``."""
+    (:func:`_count_groups`), an n x b block that the next block overwrites."""
     if L < 1:
         raise ValidationError("number of replicates must be at least 1")
     if design_spec.design not in (DesignKind.SRS_WOR, DesignKind.PPS_WR):
@@ -244,12 +251,9 @@ def _weight_blocks(sample_a: SurveySample, design_spec: DesignSpec, L: int,
     def blocks():
         buffer = None
         for cols, counts in _count_groups(seed, np.arange(L), 0, 0, n, n - 1):
-            if out is not None:
-                weights = out[:, cols]
-            else:
-                if buffer is None:  # the first group is the widest
-                    buffer = np.empty((n, len(counts)))
-                weights = buffer[:, : len(counts)]
+            if buffer is None:  # the first group is the widest
+                buffer = np.empty((n, len(counts)))
+            weights = buffer[:, : len(counts)]
             # the same two roundings per cell as w * (n / (n - 1)) * count
             np.multiply(counts.T, scale, out=weights)
             del counts  # before the caller's work on the block
@@ -419,15 +423,15 @@ def sample_a_replicates(
     """The replicate set of the L x p refitted coefficients ``betas``
     (:func:`bootstrap_refit`): sample A's replicate weights, paired with its
     imputations under each replicate's coefficients, each block of
-    :func:`replicate_blocks` built in its columns of the two n_A x L
+    :func:`replicate_blocks` copied into its columns of the two n_A x L
     outputs.  It needs nothing of sample B, so a caller may release B before
     it runs."""
     base = predict_all(model, design_a)
     shape = (sample_a.n, len(betas))
     rep_w, rep_yhat = np.empty(shape), np.empty(shape)
-    for _ in replicate_blocks(model, sample_a, design_a, design_spec, betas, seed,
-                              (rep_w, rep_yhat)):
-        pass
+    for cols, weights, imputations in replicate_blocks(
+            model, sample_a, design_a, design_spec, betas, seed):
+        rep_w[:, cols], rep_yhat[:, cols] = weights, imputations
     return ReplicateSet(
         L=len(betas),
         replicate_weights=rep_w,
@@ -445,24 +449,17 @@ def replicate_blocks(
     design_spec: DesignSpec,
     betas: np.ndarray,
     seed: int,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Sample A's replicate columns for the L x p refitted coefficients
     ``betas``, one draw group at a time: an iterator of (columns, weights,
     imputations), each an n_A x b block of the columns' slice; the next
-    block overwrites the weights.  Given ``out``, a pair of n_A x L arrays,
-    each block is built in its columns of them instead, the weights in the
-    first and the imputations in the second.  Column k of the imputations
-    comes from replicate k's coefficients only, and its bits do not depend
-    on the block or where it is built
+    block overwrites the weights, and the imputations are fresh.  Column k
+    of the imputations comes from replicate k's coefficients only, and its
+    bits do not depend on the block
     (:func:`~massimpute.mean_model.mean_values`)."""
-    rep_w, rep_yhat = (None, None) if out is None else out
     return (
-        (cols, weights, mean_values(
-            model.family, design_a.values, betas[cols].T,
-            out=None if rep_yhat is None else rep_yhat[:, cols]))
-        for cols, weights in _weight_blocks(sample_a, design_spec, len(betas), seed,
-                                            rep_w)
+        (cols, weights, mean_values(model.family, design_a.values, betas[cols].T))
+        for cols, weights in _weight_blocks(sample_a, design_spec, len(betas), seed)
     )
 
 
@@ -488,7 +485,8 @@ def sample_a_estimates(
 ) -> np.ndarray:
     """``replicate_estimates(sample_a_replicates(...), population_size)``
     bit for bit, each block of :func:`replicate_blocks` reduced to its
-    estimates as it is built, so no n_A x L array exists."""
+    estimates as it is built, so no n_A x L array exists.  The Monte Carlo's
+    N is at least 1, so this skips that function's finiteness check."""
     totals = np.empty(len(betas))
     for cols, weights, imputations in replicate_blocks(
             model, sample_a, design_a, design_spec, betas, seed):
@@ -499,7 +497,8 @@ def sample_a_estimates(
 def replicate_estimates(replicate_set, population_size: float) -> np.ndarray:
     """Replicate point estimates: weighted imputation totals over N, for a
     :class:`ReplicateSet` or an :class:`AugmentedDataset`, summed a block of
-    columns at a time."""
+    columns at a time.  An estimate that is not finite, as over an N near
+    zero, raises :class:`NumericalError`."""
     w, y = replicate_set.replicate_weights, replicate_set.replicate_imputations
     n, L = w.shape
     totals = np.empty(L)
@@ -507,6 +506,8 @@ def replicate_estimates(replicate_set, population_size: float) -> np.ndarray:
     for start in range(0, L, width):
         cols = slice(start, start + width)
         totals[cols] = _column_totals(w[:, cols], y[:, cols])
+    # every quotient is finite when the largest is
+    per_population(np.abs(totals).max(initial=0.0), population_size)
     return totals / population_size
 
 
@@ -585,9 +586,11 @@ class AugmentedDataset:
     replicate_weights: np.ndarray
     replicate_imputations: np.ndarray
     manifest: dict
-    # an imputed file's model, and sample A under it (its covariate columns
-    # and weights), when read with ``with_sample``
+    # an imputed file's model, sample B's schema from the same document, and
+    # sample A under the model (its covariate columns and weights), when read
+    # with ``with_sample``
     model: FittedModel | None = None
+    schema: ColumnSchema | None = None
     sample_a: SurveySample | None = None
 
     @property
@@ -606,9 +609,11 @@ class AugmentedDataset:
 def read_augmented_dataset(path, with_sample: bool = False) -> AugmentedDataset:
     """Read a release file, or an imputed file as one with L = 0.
 
-    With ``with_sample`` the file must be an imputed file: the model in its
-    manifest is parsed, and the model's covariate columns are read in the
-    same pass as the weights to give sample A, for the linearized variance.
+    With ``with_sample`` the file must be an imputed file: the model document
+    in its manifest is read
+    (:func:`~massimpute.mean_model.read_model_document`), and the model's
+    covariate columns are read in the same pass as the weights to give
+    sample A, for the linearized variance.
     A malformed manifest, a missing column, a bad cell (see
     :func:`~massimpute.table.read_columns`), a non-positive weight, a
     release file with a replicate pair beyond its manifest's L or with other
@@ -626,11 +631,11 @@ def read_augmented_dataset(path, with_sample: bool = False) -> AugmentedDataset:
     if N is not None and not (type(N) in (int, float) and 0 < N < math.inf):
         raise ValidationError(f"{mpath}: 'population_size' must be positive or null")
 
-    model, covariates = None, ()
+    model, schema, covariates = None, None, ()
     if with_sample:
         if not isinstance(manifest.get("model"), dict):
             raise ValidationError(f"{path} has no model: not an imputed file")
-        model = FittedModel.from_dict(manifest["model"])
+        model, schema = read_model_document(manifest["model"])
         covariates = model.raw_names
 
     reps = [f"{kind}_rep_{k + 1}" for kind in ("w", "yhat") for k in range(L)]
@@ -661,6 +666,7 @@ def read_augmented_dataset(path, with_sample: bool = False) -> AugmentedDataset:
         replicate_imputations=data[:, 2 + L :],
         manifest=manifest,
         model=model,
+        schema=schema,
         sample_a=sample_a,
     )
 

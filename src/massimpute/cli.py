@@ -17,6 +17,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .bootstrap import (
     IMPUTED_FORMAT,
@@ -38,7 +40,13 @@ from .data_model import (
 )
 from .errors import IOFailure, NumericalError, UsageError, ValidationError
 from .estimators import ht_mean
-from .mean_model import FittedModel, ModelFamily, fit_model, predict_all
+from .mean_model import (
+    ModelFamily,
+    fit_model,
+    model_document,
+    predict_all,
+    read_model_document,
+)
 from .simulation import SimConfig, run_monte_carlo, write_per_rep_csv
 from .table import read_json, write_table
 from .variance import interval_summary, linearized_variance
@@ -233,23 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_schema(model_doc: dict) -> ColumnSchema:
-    """Sample B's schema from the ``schema`` of a model document."""
-    doc = model_doc.get("schema", {})
-    if isinstance(doc, dict):
-        covariates = doc.get("covariates", [])
-        response = doc.get("response")
-        categoricals = doc.get("categoricals", {})
-        if (isinstance(covariates, list) and isinstance(categoricals, dict)
-                and all(isinstance(s, str) for s in [*covariates, *categoricals.values()])
-                and (response is None or isinstance(response, str))):
-            return ColumnSchema(tuple(covariates), response, categoricals=categoricals)
-    raise ValidationError(
-        "model 'schema' must be an object with a 'covariates' list of names, "
-        "a 'response' name and 'categoricals' mapping names to reference levels"
-    )
-
-
 def _fit_from_args(args):
     """Check the flags, load sample B, fit; (model, sample_b, design_b, schema)."""
     categoricals = dict(args.categorical or ())
@@ -269,12 +260,7 @@ def _fit_from_args(args):
 
 def cmd_fit(args) -> int:
     model, _, _, schema = _fit_from_args(args)
-    doc = model.to_dict()
-    doc["schema"] = {
-        "response": schema.response,
-        "covariates": list(schema.covariates),
-        "categoricals": schema.categoricals,
-    }
+    doc = model_document(model, schema)
     doc["version"] = __version__
     doc["input_digests"] = {args.train: _sha256(args.train)}
     _write_json(args.out, doc)
@@ -302,8 +288,8 @@ def _load_sample_a(args, model, schema):
 
 def cmd_impute(args) -> int:
     model_doc = read_json(args.model)
-    model = FittedModel.from_dict(model_doc)
-    sample_a, design_a = _load_sample_a(args, model, _model_schema(model_doc))
+    model, schema = read_model_document(model_doc)
+    sample_a, design_a = _load_sample_a(args, model, schema)
     yhat = predict_all(model, design_a)
 
     names = list(sample_a.covariate_names) + [args.weight]
@@ -345,24 +331,25 @@ def cmd_estimate(args) -> int:
 
     if args.variance == "bootstrap":
         # an imputed file (L = 0) has no replicates: bootstrap_variance rejects it
-        v_boot = bootstrap_variance(theta, replicate_estimates(dataset, N))
+        estimates = replicate_estimates(dataset, N)
+        with np.errstate(over="ignore"):  # an infinite variance is not written
+            v_boot = bootstrap_variance(theta, estimates)
         doc["variance"] = {
             "method": "bootstrap", "L": dataset.L, **interval_summary(v_boot)
         }
     elif linearized:
         model, sample_a = dataset.model, dataset.sample_a
-        sample_b = load_sample(
-            args.train, _model_schema(dataset.manifest["model"]),
-            SampleKind.NON_PROBABILITY_B,
-        )
+        sample_b = load_sample(args.train, dataset.schema, SampleKind.NON_PROBABILITY_B)
         design_a, design_b = (
             build_design_matrix(s, model.raw_names, intercept=model.intercept_included)
             for s in (sample_a, sample_b)
         )
         design_spec = srs_design(N) if args.design == "srs" else ppswr_design()
-        lin = linearized_variance(
-            model, sample_a, sample_b, design_a, design_b, design_spec, N
-        )
+        # an overflow leaves a component infinite or NaN, which is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            lin = linearized_variance(
+                model, sample_a, sample_b, design_a, design_b, design_spec, N
+            )
         doc["variance"] = {"method": "linearized", **lin.to_dict()}
         doc["n_b"] = sample_b.n
         doc["input_digests"][args.train] = _sha256(args.train)

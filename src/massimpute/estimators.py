@@ -7,6 +7,7 @@ counterparts, then inverse-weights the B responses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,28 @@ from .mean_model import (
 )
 
 
+def per_population(value, population_size: float, power: int = 1) -> float:
+    """``value / population_size**power`` in Python floats, the same IEEE
+    operations as numpy's, so that a quotient that is not finite, as over a
+    population size near zero, raises :class:`NumericalError` and no numpy
+    warning."""
+    try:
+        divisor = float(population_size) ** power
+    except OverflowError:  # where numpy's power gives inf
+        divisor = math.inf
+    if divisor:
+        quotient = float(value) / divisor
+        if math.isfinite(quotient):
+            return quotient
+    raise NumericalError(
+        f"a sum over N**{power} is not finite for the population size "
+        f"N = {population_size!r}"
+    )
+
+
 def ht_mean(values: np.ndarray, weights: np.ndarray, population_size: float) -> float:
-    """Design-weighted mean: the weighted total scaled by the population size."""
+    """Design-weighted mean: the weighted total scaled by the population size.
+    A total or a mean that is not finite raises :class:`NumericalError`."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.shape != weights.shape:
@@ -39,7 +60,7 @@ def ht_mean(values: np.ndarray, weights: np.ndarray, population_size: float) -> 
         total = np.sum(weights * values)
     if not np.isfinite(total):
         raise NumericalError("the weighted total is not finite: it overflows")
-    return float(total / population_size)
+    return per_population(total, population_size)
 
 
 def mass_imputation_estimate(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DesignMatrix, SurveySample
+from .data_model import ColumnSchema, DesignMatrix, SurveySample
 from .errors import (
     ColumnMismatch,
     DimensionMismatch,
@@ -100,22 +100,18 @@ def _clipped_exp(eta: np.ndarray) -> np.ndarray:
     return np.exp(eta, out=eta)
 
 
-def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+def mean_values(family: ModelFamily, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Vectorized m(x; beta) over the rows of X; for a p x k ``beta``, one
     column per coefficient vector, by the product rule of the module
     docstring.  ``beta``'s columns are made contiguous: against a row-major
-    X, einsum adds a row's products in another order when they are not.
-    With ``out``, an n x k float array such as a slice of a wider row-major
-    array's columns, the product and the inverse link are written into it,
-    with the bits of a fresh result, and ``out`` is returned."""
+    X, einsum adds a row's products in another order when they are not."""
     beta = np.asarray(beta, dtype=float, order="F")
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != beta.shape[0]:
         raise DimensionMismatch(
             f"design has {X.shape[-1]} columns but beta has {beta.shape[0]}"
         )
-    return _inverse_link(family, np.einsum("np,p...->n...", X, beta, out=out))
+    return _inverse_link(family, np.einsum("np,p...->n...", X, beta))
 
 
 def _inverse_link(family: ModelFamily, eta: np.ndarray) -> np.ndarray:
@@ -196,6 +192,38 @@ class FittedModel:
             if not ok:
                 raise ValidationError(f"malformed model document: {problem}")
         return model
+
+
+def model_document(model: FittedModel, schema: ColumnSchema) -> dict:
+    """The model document of ``model`` fitted on sample B read under
+    ``schema``: :meth:`FittedModel.to_dict` with the schema, which
+    :func:`read_model_document` reads back."""
+    return {**model.to_dict(), "schema": {
+        "response": schema.response,
+        "covariates": list(schema.covariates),
+        "categoricals": schema.categoricals,
+    }}
+
+
+def read_model_document(doc) -> tuple[FittedModel, ColumnSchema]:
+    """The model (:meth:`FittedModel.from_dict`) and sample B's schema of a
+    parsed model document; a malformed ``schema`` also raises
+    :class:`ValidationError`."""
+    model = FittedModel.from_dict(doc)
+    schema = doc.get("schema", {})
+    if isinstance(schema, dict):
+        covariates = schema.get("covariates", [])
+        response = schema.get("response")
+        categoricals = schema.get("categoricals", {})
+        if (isinstance(covariates, list) and isinstance(categoricals, dict)
+                and all(isinstance(s, str) for s in [*covariates, *categoricals.values()])
+                and isinstance(response, str)):
+            return model, ColumnSchema(tuple(covariates), response,
+                                       categoricals=categoricals)
+    raise ValidationError(
+        "model 'schema' must be an object with a 'covariates' list of names, "
+        "a 'response' name and 'categoricals' mapping names to reference levels"
+    )
 
 
 def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):

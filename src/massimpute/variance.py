@@ -22,6 +22,7 @@ from .data_model import (
     SurveySample,
 )
 from .errors import MissingJointProbabilities, SingularSystem
+from .estimators import per_population
 from .mean_model import FittedModel, mean_gradients, mean_values, unit_sum
 
 
@@ -101,7 +102,7 @@ def variance_component_b(
         g = np.einsum("np,p->n", X[block], c_hat)
         return np.sum(resid**2 * g**2)
 
-    return float(unit_sum(len(X), squares) / population_size**2)
+    return per_population(unit_sum(len(X), squares), population_size, 2)
 
 
 def _exact_joint_srs(z: np.ndarray, pi: float, pij: float, N: float) -> float:
@@ -110,7 +111,7 @@ def _exact_joint_srs(z: np.ndarray, pi: float, pij: float, N: float) -> float:
     s1 = float(np.sum(z))
     s2 = float(np.sum(z**2))
     off = 1.0 - pi * pi / pij if pij > 0 else 0.0
-    return ((1.0 - pi) * s2 + off * (s1 * s1 - s2)) / N**2
+    return per_population((1.0 - pi) * s2 + off * (s1 * s1 - s2), N, 2)
 
 
 def strategy_a(design_spec: DesignSpec) -> VarianceStrategyA:
@@ -144,7 +145,7 @@ def variance_component_a(
 
     if strategy_a(design_spec) is VarianceStrategyA.PPSWR_APPROX:
         zbar = np.mean(z)
-        return float(n / (n - 1) * np.sum((z - zbar) ** 2) / N**2)
+        return per_population(n / (n - 1) * np.sum((z - zbar) ** 2), N, 2)
     if design_spec.design is DesignKind.SRS_WOR:
         pi, pij = design_spec.srs_probabilities(n)
         return _exact_joint_srs(z, pi, pij, N)
@@ -155,7 +156,7 @@ def variance_component_a(
         )
     pi = np.diag(pij)
     delta = (pij - np.outer(pi, pi)) / pij
-    return float(np.einsum("i,ij,j->", z, delta, z) / N**2)
+    return per_population(np.einsum("i,ij,j->", z, delta, z), N, 2)
 
 
 def linearized_variance(

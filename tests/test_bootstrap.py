@@ -742,7 +742,7 @@ class TestSampleAEstimates:
 
 class TestSampleAReplicates:
     """The ``bootstrap`` command's n_A x L replicate columns, each draw group
-    built in its own columns, are those of :func:`replicate_blocks`."""
+    copied into its own columns, are those of :func:`replicate_blocks`."""
 
     n_a = 2_000  # draw groups of 8 columns
 

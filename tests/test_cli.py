@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -900,6 +901,59 @@ def test_overflowing_estimate_exits_4(pipeline_files, capsys):
     assert not report.exists()
 
 
+def _estimate_argv(files, variance, pop_size, design="ppswr"):
+    """``estimate --variance variance`` on an imputed file, or on a release
+    file for the bootstrap, of ``files`` at ``--pop-size pop_size``."""
+    d = files["dir"]
+    if variance == "bootstrap":
+        data = d / "aug.csv"
+        assert run_cli(["bootstrap", "--train", files["train"], "--response", "y",
+                        "--covariates", "x", "--sample-a", files["sample_a"],
+                        "--weight", "w", "--L", "3", "--out", str(data)]) == 0
+    else:
+        data = d / "imputed.csv"
+        assert run_cli(["impute", "--model", str(_fit_model_file(files)),
+                        "--sample-a", files["sample_a"], "--weight", "w",
+                        "--out", str(data)]) == 0
+    return ["estimate", "--imputed", str(data), "--variance", variance,
+            "--train", files["train"], "--design", design, "--pop-size", pop_size,
+            "--report", str(d / "r.json")]
+
+
+@pytest.mark.parametrize("variance, pop_size", [
+    ("none", "5e-324"),
+    ("none", "1e-310"),
+    ("bootstrap", "5e-324"),
+    ("bootstrap", "1e-310"),
+    # theta and the replicates are finite, their squared deviations are not
+    ("bootstrap", "1e-160"),
+    ("linearized", "1e-300"),
+    ("linearized", "5e-324"),
+])
+def test_tiny_pop_size_exits_4(variance, pop_size, pipeline_files, capsys):
+    # a mean of about 5 over N = 1e-300 is finite, its variance over N**2 is not
+    argv = _estimate_argv(pipeline_files, variance, pop_size)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow or divide warning
+        assert run_cli(argv) == 4
+    err = json.loads(capsys.readouterr().err)  # one JSON object and nothing else
+    assert err["error"] == "NumericalError" and "not finite" in err["message"]
+    assert not (pipeline_files["dir"] / "r.json").exists()
+
+
+@pytest.mark.parametrize("design", ["ppswr", "srs"])
+def test_huge_pop_size_gives_a_finite_linearized_variance(design, pipeline_files):
+    # N**2 overflows a float; the variance of the mean then rounds to 0
+    argv = _estimate_argv(pipeline_files, "linearized", "1e200", design)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 0
+    report = json.loads((pipeline_files["dir"] / "r.json").read_text())
+    assert report["variance"]["v_total"] == 0.0
+    assert 0 < report["theta_hat"] < 1e-195  # a mean of about 5 over 1e200
+
+
 def test_report_with_a_non_finite_number_is_not_written(tmp_path):
     from massimpute import cli
     from massimpute.errors import NumericalError
@@ -1215,3 +1269,161 @@ def test_mutated_inputs_exit_with_documented_code(edits):
             if code:
                 assert "error" in json.loads(err.getvalue())
                 break
+
+
+@pytest.fixture(scope="module")
+def pipeline_documents(tmp_path_factory):
+    """A directory holding ``fit``, ``impute`` and ``bootstrap`` outputs of
+    _B_ROWS and _A_ROWS, with the three JSON documents between the steps."""
+    d = tmp_path_factory.mktemp("documents")
+    for name, rows in (("a", _A_ROWS), ("b", _B_ROWS)):
+        (d / f"{name}.csv").write_text(_mutated(rows, []))
+    fit = ["--train", str(d / "b.csv"), "--response", "y",
+           "--covariates", "x,g", "--categorical", "g=r"]
+    for argv in (
+        ["fit", *fit, "--out", str(d / "m.json")],
+        ["impute", "--model", str(d / "m.json"), "--sample-a", str(d / "a.csv"),
+         "--weight", "w", "--out", str(d / "i.csv")],
+        ["bootstrap", *fit, "--sample-a", str(d / "a.csv"), "--weight", "w",
+         "--pop-size", "400", "--L", "4", "--seed", "1", "--out", str(d / "rel.csv")],
+    ):
+        assert run_cli(argv) == 0
+    return d
+
+
+_DOCUMENTS = ("m.json", "i.csv.manifest.json", "rel.csv.manifest.json")
+# a value of another JSON type, for a value of each type
+_SWAPPED = {dict: [], list: {}, str: 1.5, bool: 1, int: "1", float: "1.5",
+            type(None): 0}
+_DELETE = object()
+
+
+def _document_paths(doc, path=()):
+    """The path of keys and indices to every value of a parsed JSON document,
+    the whole document's first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _document_paths(value, (*path, key))
+
+
+def _document_edits(doc, path):
+    """The new values for the value at ``path``, or ``_DELETE``."""
+    for key in path:
+        doc = doc[key]
+    edits = [_SWAPPED[type(doc)]]
+    if path:
+        edits.append(_DELETE)
+    if type(doc) in (int, float):
+        edits += [float("nan"), float("inf"), 1e308, 5e-324]
+    if path == ("L",):
+        edits += [doc + 1, doc - 1]
+    return edits
+
+
+def _edited(doc, path, edit):
+    """``doc`` with the value at ``path`` replaced by ``edit`` or deleted."""
+    if not path:
+        return edit
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if edit is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = edit
+    return doc
+
+
+def _assert_finite_output(path):
+    """Every number that a step wrote is finite."""
+    def refuse(constant):
+        raise AssertionError(f"{path} holds {constant}")
+    if path.suffix == ".json":
+        json.loads(path.read_text(), parse_constant=refuse)
+        return
+    with open(path) as fh:
+        for row in list(csv.reader(fh))[1:]:
+            for cell in row:
+                with contextlib.suppress(ValueError):
+                    assert np.isfinite(float(cell)), (path, cell)
+
+
+def _step(argv, outputs=()) -> int:
+    """Run one command: exit 0 with only finite numbers in ``outputs``, or
+    exit 3 or 4 with one JSON object and nothing else on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(argv)
+    assert code in (0, 3, 4)
+    if code:
+        assert "error" in json.loads(err.getvalue())
+    for path in outputs if code == 0 else ():
+        _assert_finite_output(path)
+    return code
+
+
+def _check_edited_document(base, name, path, edit):
+    """Apply ``edit`` at ``path`` of the document ``name`` in a copy of
+    ``base``, then run the steps that read it and check :func:`_step`; a
+    file that ``impute`` writes with exit 0 is not refused (exit 3) by the
+    estimates that read it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp) / "docs"
+        shutil.copytree(base, d)
+        doc = json.loads((d / name).read_text())
+        (d / name).write_text(json.dumps(_edited(doc, path, edit)))
+
+        def estimate(data, variance):
+            report = d / f"r_{variance}.json"
+            return _step(["estimate", "--imputed", str(d / data), "--variance",
+                          variance, "--train", str(d / "b.csv"),
+                          "--report", str(report)], [report])
+
+        if name == "m.json":
+            imputed = d / "i2.csv"
+            if _step(["impute", "--model", str(d / name), "--sample-a",
+                      str(d / "a.csv"), "--weight", "w", "--out", str(imputed)],
+                     [imputed, pathlib.Path(manifest_path(imputed))]) == 0:
+                assert estimate("i2.csv", "none") in (0, 4)
+                assert estimate("i2.csv", "linearized") in (0, 4)
+        elif name == "i.csv.manifest.json":
+            estimate("i.csv", "none")
+            estimate("i.csv", "linearized")
+        else:
+            estimate("rel.csv", "none")
+            estimate("rel.csv", "bootstrap")
+
+
+@st.composite
+def _document_edit(draw, base):
+    name = draw(st.sampled_from(_DOCUMENTS))
+    doc = json.loads((base / name).read_text())
+    path = draw(st.sampled_from(list(_document_paths(doc))))
+    return name, path, draw(st.sampled_from(_document_edits(doc, path)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_edited_documents_exit_with_documented_code(data, pipeline_documents):
+    # the invariant of test_mutated_inputs_exit_with_documented_code, over
+    # the JSON documents between the steps
+    _check_edited_document(pipeline_documents,
+                           *data.draw(_document_edit(pipeline_documents)))
+
+
+@pytest.mark.parametrize("name, path, edit", [
+    # impute took a model without a response, which estimate then refused
+    ("m.json", ("schema", "response"), _DELETE),
+    # linearized estimates printed numpy overflow warnings
+    ("i.csv.manifest.json", ("model", "beta_hat", 1), 1e308),
+    # a model without a schema raised StopIteration
+    ("i.csv.manifest.json", ("model", "schema"), _DELETE),
+    # estimates over a release manifest's N of 5e-324 printed overflow warnings
+    ("rel.csv.manifest.json", ("population_size",), 5e-324),
+], ids=["model without response", "beta 1e308", "model without schema",
+        "release N 5e-324"])
+def test_edited_document_found_by_hand(name, path, edit, pipeline_documents):
+    _check_edited_document(pipeline_documents, name, path, edit)
