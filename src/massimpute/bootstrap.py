@@ -512,11 +512,16 @@ def replicate_estimates(replicate_set, population_size: float) -> np.ndarray:
 
 
 def bootstrap_variance(theta_hat: float, replicate_values: np.ndarray) -> float:
-    """Mean squared deviation of the replicates about the point estimate."""
+    """Mean squared deviation of the replicates about the point estimate; one
+    that is not finite raises :class:`NumericalError`."""
     replicate_values = np.asarray(replicate_values, dtype=float)
     if replicate_values.size < 1:
         raise ValidationError("need at least one replicate estimate")
-    return float(np.mean((replicate_values - theta_hat) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = float(np.mean((replicate_values - theta_hat) ** 2))
+    if not math.isfinite(variance):
+        raise NumericalError("the bootstrap variance is not finite: it overflows")
+    return variance
 
 
 # -- release file ------------------------------------------------------------

@@ -331,9 +331,7 @@ def cmd_estimate(args) -> int:
 
     if args.variance == "bootstrap":
         # an imputed file (L = 0) has no replicates: bootstrap_variance rejects it
-        estimates = replicate_estimates(dataset, N)
-        with np.errstate(over="ignore"):  # an infinite variance is not written
-            v_boot = bootstrap_variance(theta, estimates)
+        v_boot = bootstrap_variance(theta, replicate_estimates(dataset, N))
         doc["variance"] = {
             "method": "bootstrap", "L": dataset.L, **interval_summary(v_boot)
         }

@@ -210,8 +210,11 @@ def load_sample(path, schema: ColumnSchema, kind: SampleKind) -> SurveySample:
     if clash:
         raise ValidationError(f"column {clash.pop()!r} cannot be both a "
                               "categorical covariate and the response or weight")
-    declared = [*schema.covariates, schema.response, schema.weight]
-    raw = read_columns(path, [name for name in declared if name is not None], text)
+    declared = [name for name in (*schema.covariates, schema.response, schema.weight)
+                if name is not None]
+    if not declared:
+        raise ValidationError(f"{path}: the schema names no column")
+    raw = read_columns(path, declared, text)
     n = len(next(iter(raw.values())))
 
     # the design rows to write, as (row, name) and (row, codes, level's code)

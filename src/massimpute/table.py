@@ -5,25 +5,30 @@ a comma, a quote or a line break, and hold floats as their shortest
 round-trip representation, so reading a file back returns the exact values.
 Files with CRLF or CR line endings read the same as LF files.
 
-A file without quotes or NULs is opened with universal newlines, so that
-every line ending reads as LF, and parsed by numpy's C reader
-(``np.loadtxt``), a chunk of ``_READ_ROWS`` rows at a time.  The scan that
-checks the file also counts its lines, which bound its rows, so each numeric
+A file is parsed by numpy's C reader (``np.loadtxt``), which with
+``quotechar`` splits quoted cells, doubled quotes and commas and line breaks
+inside quotes as ``csv.reader`` does, a chunk of ``_READ_ROWS`` rows at a
+time.  A scan counts the file's lines, which bound its rows, so each numeric
 column is one float array of that length, into which every chunk's cells are
 written as they are parsed.  A text column is stripped a chunk at a time and
 kept as integer codes into its levels (:class:`TextColumn`), never as an
-array of Python strings.  Any other file, and any file that reader rejects or
-whose values hold a non-finite number or an empty text cell, is parsed again
-by ``csv.reader`` and walked cell by cell, so both paths give the same values
-and the same errors.
+array of Python strings.  A file with a NUL or an unquoted cell too long for
+``csv.reader``, or that numpy rejects (a ragged row, or a cell such as
+``1_000`` that only ``float()`` reads), or whose values hold a non-finite
+number or an empty text cell, is parsed again by ``csv.reader`` and walked a
+row at a time into the same columns, keeping no row, so both paths give the
+same values and errors, except that numpy reads a quoted cell longer than
+``csv.field_size_limit()`` that holds a comma or a line break.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +88,9 @@ def read_columns(path, names, text=(), absent=()) -> dict[str, np.ndarray | Text
     ``text`` as :class:`TextColumn` codes of their stripped cells, the others
     as contiguous float arrays of the cells Python's ``float()`` accepts.
 
-    Blank lines are skipped.  Raises :class:`EmptyFile` for no data row,
+    Cells are split as ``csv.reader`` splits them, so a quoted cell may hold
+    commas, doubled quotes and line breaks.  Blank lines are skipped.  Raises
+    :class:`EmptyFile` for no data row,
     :class:`RaggedRow` for a row whose cell count differs from the header's,
     :class:`MissingColumn` for the first name absent from the header, or
     :class:`ValidationError` for the first it repeats, or for the first name
@@ -117,17 +124,27 @@ def _encode(cells, levels: dict) -> np.ndarray:
 
 def _read_plain(path, names, text, absent=()):
     """:func:`read_columns` by ``np.loadtxt``, or None where the file or its
-    values need the checked walk.  Universal newlines give ``csv.reader``'s
-    lines: it too ends a line at CR, LF or CRLF."""
-    with open(path) as fh:
-        try:  # a UnicodeDecodeError is a ValueError
-            scan = _scan_plain(fh)
+    values need the checked walk.  Lines are read untranslated: loadtxt, as
+    ``csv.reader``, ends one at CR, LF or CRLF and keeps one inside quotes."""
+    split = functools.partial(np.loadtxt, delimiter=",", quotechar='"', comments=None,
+                              ndmin=1)
+    bound, plain = _scan(path)
+    if not plain:
+        return None
+    try:  # a UnicodeDecodeError is a ValueError
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            # loadtxt warns of the blank lines it skips when given max_rows
+            warnings.simplefilter("ignore", UserWarning)
+            first = next(fh, "")
+            if not first.rstrip("\r\n"):  # csv.reader reads it as no cells
+                return None
+            header = [h.strip() for h in split(itertools.chain((first,), fh), dtype=object,
+                                               max_rows=1)]
             # a name absent from the header, or repeated, takes the walk, as
             # does a name of ``absent`` that it holds
-            if (scan is None or any(scan[0].count(name) != 1 for name in names)
-                    or not set(scan[0]).isdisjoint(absent)):
+            if (any(header.count(name) != 1 for name in names)
+                    or not set(header).isdisjoint(absent)):
                 return None
-            header, bound = scan
             index = {name: header.index(name) for name in names}
             # one field per header cell, so a row of another width raises;
             # cells of unrequested columns are not checked, as in the walk
@@ -138,16 +155,10 @@ def _read_plain(path, names, text, absent=()):
             numbers = {name: np.empty(bound) for name in index if name not in text}
             codes = {name: np.empty(bound, np.int32) for name in index if name in text}
             levels = {name: {} for name in codes}
-            fh.seek(0)
-            next(fh)  # the header line
-            # loadtxt skips blank lines itself, but warns when given max_rows
-            lines = filter("\n".__ne__, fh)
             filled = 0
-            while filled < bound and (first := next(lines, None)) is not None:
-                chunk = np.loadtxt(
-                    itertools.chain((first,), lines), dtype=dtype, delimiter=",",
-                    comments=None, max_rows=min(_READ_ROWS, bound - filled), ndmin=1,
-                )
+            while filled < bound and (first := next(fh, None)) is not None:
+                chunk = split(itertools.chain((first,), fh), dtype=dtype,
+                              max_rows=min(_READ_ROWS, bound - filled))
                 rows = slice(filled, filled + len(chunk))
                 for name, column in numbers.items():
                     column[rows] = chunk[f"f{index[name]}"]
@@ -156,9 +167,9 @@ def _read_plain(path, names, text, absent=()):
                 for name, column in codes.items():
                     column[rows] = _encode(chunk[f"f{index[name]}"], levels[name])
                 filled = rows.stop
-        except ValueError:
-            return None
-    if any("" in seen for seen in levels.values()):
+    except ValueError:
+        return None
+    if not filled or any("" in seen for seen in levels.values()):
         return None
     return {
         **{name: TextColumn(codes[name][:filled], tuple(levels[name])) for name in codes},
@@ -166,52 +177,51 @@ def _read_plain(path, names, text, absent=()):
     }
 
 
-def _scan_plain(fh):
-    """The stripped header cells of a file that ``csv.reader`` and
-    ``np.loadtxt`` split alike and that has a non-blank data line, and a bound
-    on its data rows (its lines after the header), else None.
-
-    The file is read in chunks of half ``csv.field_size_limit()``, so a cell
-    too long for ``csv.reader`` covers a whole chunk without a comma or line
-    break and sends the file to the walk, which raises for it.
-    """
-    head, header, rows, lines, last = "", None, False, 0, "\n"
-    size = csv.field_size_limit() // 2
-    while chunk := fh.read(size):
-        if '"' in chunk or "\0" in chunk:
-            return None
-        if "," not in chunk and "\n" not in chunk:
-            return None
-        last = chunk[-1]
-        if header is None:
-            head += chunk
-            if "\n" not in head:
-                continue
-            line, _, chunk = head.partition("\n")
-            if not line:  # csv.reader reads an empty header line as no cells
-                return None
-            header = [h.strip() for h in line.split(",")]
-        newlines = chunk.count("\n")
-        rows = rows or newlines < len(chunk)
-        lines += newlines
-    # a last line without a line break is a row too
-    return (header, lines + (last != "\n")) if rows else None
+def _scan(path):
+    """A bound on the rows of a file, its line breaks and one, and whether
+    numpy may read it: not for a NUL, which ``csv.reader`` refuses before
+    Python 3.11, nor for an unquoted cell longer than ``csv.field_size_limit()``,
+    which fills a block of half that limit with no comma or line break."""
+    bound, plain, size = 1, True, csv.field_size_limit() // 2
+    with open(path, "rb") as fh:
+        while block := fh.read(size):
+            plain = plain and b"\0" not in block and (
+                b"," in block or b"\n" in block or b"\r" in block)
+            bound += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+    return bound, plain
 
 
 def _read_checked(path, names, text, absent=()):
-    """:func:`read_columns` by ``csv.reader``, every cell checked."""
+    """:func:`read_columns` by ``csv.reader``, a row at a time into its
+    columns, keeping no row.  A column's first bad cell is kept as the error
+    it raises once the file is read, as an unreadable or ragged row, or the
+    header, takes precedence."""
+    bad, ragged, n = {}, None, 0
+    bound = _scan(path)[0]
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = [h.strip() for h in next(reader, [])]
-            rows = [row for row in reader if row]
+            index = {name: header.index(name) for name in names if name in header}
+            out = {name: np.empty(bound, "i4" if name in text else "f8") for name in index}
+            levels = {name: {} for name in index if name in text}
+            for row in filter(None, reader):
+                n += 1
+                if ragged or len(row) != len(header):
+                    ragged = ragged or RaggedRow(n, len(row), len(header))
+                    continue
+                for name, j in index.items():
+                    if name not in bad:
+                        try:
+                            out[name][n - 1] = _value(name, n, row[j], levels.get(name))
+                        except ValidationError as exc:
+                            bad[name] = exc
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
-    if not rows:
+    if not n:
         raise EmptyFile(str(path))
-    for i, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise RaggedRow(i, len(row), len(header))
+    if ragged:
+        raise ragged
     for name in names:
         if name not in header:
             raise MissingColumn(name)
@@ -221,39 +231,29 @@ def _read_checked(path, names, text, absent=()):
     for name in absent:
         if name in header:
             raise ValidationError(f"{path}: unexpected column {name!r}")
-    index = {name: header.index(name) for name in names}
-
-    numeric = [name for name in index if name not in text]
-    columns = {}
-    for name, j in index.items():
-        if name in text:
-            levels = {}
-            codes = _encode([row[j] for row in rows], levels)
-            columns[name] = TextColumn(codes, tuple(levels))
-    try:
-        # one parse of all numeric cells; each row of the result is a column
-        numbers = np.array(
-            [[row[j] for row in rows] for j in map(index.get, numeric)], dtype=float
-        )
-        if (np.isfinite(numbers).all()
-                and not any("" in v.levels for v in columns.values())):
-            return {**columns, **dict(zip(numeric, numbers))}
-    except ValueError:
-        pass
-    # numpy parses str cells with float(), so this walk finds the bad cell
     for name in names:
-        for i, row in enumerate(rows, 1):
-            cell = row[index[name]]
-            if not cell.strip():
-                raise MissingValue(name, i)
-            if name in text:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericValue(name, i, cell) from None
-            if not math.isfinite(value):
-                raise NonFiniteValue(name, i, cell)
+        if name in bad:
+            raise bad[name]
+    return {
+        **{name: TextColumn(out[name][:n], tuple(levels[name])) for name in levels},
+        **{name: out[name][:n] for name in index if name not in levels},
+    }
+
+
+def _value(name, i, cell, levels):
+    """Row i's ``cell`` of column ``name`` as a float, or, for a text column,
+    as the code of its stripped cell in ``levels``, which gains a new one."""
+    if not cell.strip():
+        raise MissingValue(name, i)
+    if levels is not None:
+        return levels.setdefault(cell.strip(), len(levels))
+    try:
+        value = float(cell)
+    except ValueError:
+        raise NonNumericValue(name, i, cell) from None
+    if not math.isfinite(value):
+        raise NonFiniteValue(name, i, cell)
+    return value
 
 
 def read_json(path, error=ValidationError):

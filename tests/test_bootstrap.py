@@ -611,6 +611,17 @@ class TestBootstrapVariance:
         with pytest.raises(ValidationError):
             bootstrap_variance(1.0, np.array([]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta, replicates", [
+        (0.0, [1e160, -1e160]),  # squared deviations that overflow
+        (0.0, [np.inf, 1.0]),
+        (np.inf, [np.inf]),
+        (0.0, [np.nan]),
+    ], ids=["overflow", "inf", "inf-inf", "nan"])
+    def test_non_finite_variance_raises_without_warning(self, theta, replicates):
+        with pytest.raises(NumericalError, match="not finite"):
+            bootstrap_variance(theta, np.array(replicates))
+
 
 def _small_setup(rng, n_a=15, n_b=40):
     x_b = rng.normal(2, 1, size=n_b)

@@ -74,6 +74,11 @@ class TestLoadSample:
             load_sample(path, A_SCHEMA, SampleKind.PROBABILITY_A)
         assert (exc.value.column, exc.value.row) == ("x", 3)
 
+    def test_schema_naming_no_column(self, tmp_path):
+        path = write_csv(tmp_path / "b.csv", ["x", "y"], [[1.0, 2.0]])
+        with pytest.raises(ValidationError, match="the schema names no column"):
+            load_sample(path, ColumnSchema(()), SampleKind.NON_PROBABILITY_B)
+
     def test_empty_file(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["x", "w"], [])
         with pytest.raises(EmptyFile):
@@ -243,14 +248,23 @@ class TestOneCopyOfTheCovariates:
     design returned for its own covariates is that array, not a copy."""
 
     def test_design_is_the_sample_columns(self, tmp_path, rng):
+        self._check_design(tmp_path, rng, "")
+
+    def test_quoted_design_is_the_sample_columns(self, tmp_path, rng):
+        # R's write.csv quotes the header and every text cell
+        self._check_design(tmp_path, rng, '"')
+
+    @staticmethod
+    def _check_design(tmp_path, rng, q):
         n = 100_000
         x, y = rng.normal(size=n), rng.normal(size=n)
         # levels of several characters: Python keeps one string per cell read
         g = np.array(["ref", "alpha", "beta"])[rng.integers(0, 3, n)]
         path = tmp_path / "b.csv"
         with open(path, "w") as fh:
-            fh.write("x,g,y\n")
-            fh.writelines(f"{a!r},{b},{c!r}\n" for a, b, c in zip(x.tolist(), g, y.tolist()))
+            fh.write(f"{q}x{q},{q}g{q},{q}y{q}\n")
+            fh.writelines(f"{a!r},{q}{b}{q},{c!r}\n"
+                          for a, b, c in zip(x.tolist(), g, y.tolist()))
         schema = ColumnSchema(("x", "g"), "y", categoricals={"g": "ref"})
         tracemalloc.start()
         try:
@@ -280,18 +294,24 @@ class TestOneCopyOfTheCovariates:
         assert not np.shares_memory(other.values, sample.columns["v"])
         np.testing.assert_array_equal(other.values, [[1.0, 2.0], [1.0, 5.0], [1.0, 1.0]])
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
-    def test_load_holds_each_column_once_in_a_fresh_process(self, tmp_path, rng, end):
+    @pytest.mark.parametrize("kind", ["LF", "CRLF", "R-style", "walk"])
+    def test_load_holds_each_column_once_in_a_fresh_process(self, tmp_path, rng, kind):
         # VmHWM counts every page a process has touched, not just what tracemalloc
         # sees: the parsed numeric columns must be released as their design
-        # rows are written, not held beside the whole design; a CRLF file
-        # takes numpy's reader as an LF file does, not the csv.reader walk
-        # that holds every row as Python strings (58.9 MiB more)
+        # rows are written, not held beside the whole design.  A CRLF file and
+        # an R-style one, whose header and text cells are quoted, take numpy's
+        # reader as an LF file does; a cell that only float() reads sends the
+        # file to the csv.reader walk, which keeps no row either (one that
+        # held every row as Python strings took 58.9 MiB more)
         n = 100_000
+        end = "\r\n" if kind == "CRLF" else "\n"
+        q = '"' if kind == "R-style" else ""
         block = "".join(
-            f"{a!r},{b!r},{c!r},{d!r},{'rab'[i % 3]},{e!r}{end}"
+            f"{a!r},{b!r},{c!r},{d!r},{q}{'rab'[i % 3]}{q},{e!r}{end}"
             for i, (a, b, c, d, e) in enumerate(rng.normal(size=(1000, 5)).tolist()))
-        header = f"x1,x2,x3,x4,g,y{end}"
+        if kind == "walk":
+            block = "1_000" + block[block.index(","):]
+        header = ",".join(f"{q}{name}{q}" for name in ("x1", "x2", "x3", "x4", "g", "y")) + end
         small = header + block[: block.index(end, 5000) + len(end)]
         (tmp_path / "small.csv").write_bytes(small.encode())
         (tmp_path / "b.csv").write_bytes((header + block * (n // 1000)).encode())
@@ -302,19 +322,26 @@ class TestOneCopyOfTheCovariates:
         result = json.loads(done.stdout)
         if result is None:
             pytest.skip("no VmHWM in /proc/self/status")
-        rise, design, response = result
+        rise, design, response, walks = result
+        assert walks == (kind == "walk")
         assert design == 7 * 8 * n  # the intercept, x1 to x4, g=a and g=b
         # the design, y and g's int32 codes; the parent held x1 to x4 as
         # parsed beside them, 3.05 MiB more
-        assert rise <= design + response + 4 * n + 1.5 * 2**20, rise
+        bound = design + response + 4 * n + 1.5 * 2**20
+        # the walk follows numpy's failed first chunk, and took 9.3 to 12.2 MiB
+        # against the LF file's 7.0 to 7.6
+        assert rise <= (2 * bound if kind == "walk" else bound), rise
 
 
 # Loads small.csv, so that the code the load runs is resident, then b.csv,
 # and prints the rise of VmHWM over VmRSS before it, with the bytes of the
-# design and of the response.  Prints null without /proc/self/status.
+# design and of the response and the number of csv.reader calls it made.
+# Prints null without /proc/self/status.
 _LOAD_SCRIPT = """
-import json, os
+import csv, json, os
 from massimpute import ColumnSchema, SampleKind, load_sample
+reader, walks = csv.reader, []
+csv.reader = lambda *args: walks.append(args) or reader(*args)
 def status(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
@@ -323,10 +350,11 @@ if not os.path.exists("/proc/self/status"):
     raise SystemExit
 schema = ColumnSchema(("x1", "x2", "x3", "x4", "g"), "y", categoricals={"g": "r"})
 load_sample("small.csv", schema, SampleKind.NON_PROBABILITY_B)
+walks.clear()
 before = status("VmRSS:")
 sample = load_sample("b.csv", schema, SampleKind.NON_PROBABILITY_B)
 print(json.dumps([status("VmHWM:") - before, sample.design_rows.nbytes,
-                  sample.responses.nbytes]))
+                  sample.responses.nbytes, len(walks)]))
 """
 
 

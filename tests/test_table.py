@@ -106,13 +106,13 @@ def test_cell_longer_than_csv_field_limit_is_rejected(tmp_path):
         read_columns(path, ["x", "y"])
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("csv.reader called on a file numpy splits")
+
+
 def test_plain_file_is_not_split_by_csv_reader(tmp_path, monkeypatch):
     path = _write(tmp_path / "t.csv", "x,g,y,note\n1.5, a ,-0,\n2,b,1e-3,z\n")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("csv.reader called on a plain file")
-
-    monkeypatch.setattr(table.csv, "reader", refuse)
+    monkeypatch.setattr(table.csv, "reader", _refuse)
     columns = read_columns(path, ["y", "g", "x"], text={"g"})
     assert list(columns) == ["g", "y", "x"]
     assert _cells(columns["g"]) == ["a", "b"]
@@ -138,9 +138,10 @@ def _outcome(read, path, names, text):
 
 
 @pytest.mark.parametrize("text, names", [
-    ('g,x\n"a",1\n', ["g", "x"]),  # csv.reader drops the quotes
-    ("g,x\na\x00,1\n", ["g", "x"]),  # csv.reader rejects NUL before Python 3.11
-    ("\n1\n", [""]),  # csv.reader reads an empty header line as no cells
+    # csv.reader rejects NUL before Python 3.11
+    pytest.param("g,x\na\x00,1\n", ["g", "x"], id="g,x\na\x00,1\n-names1"),
+    # csv.reader reads an empty header line as no cells
+    pytest.param("\n1\n", [""], id="\n1\n-names2"),
 ])
 def test_files_csv_reader_splits_its_own_way_take_the_walk(tmp_path, text, names):
     path = _write(tmp_path / "t.csv", text)
@@ -148,21 +149,57 @@ def test_files_csv_reader_splits_its_own_way_take_the_walk(tmp_path, text, names
             == _outcome(table._read_checked, path, names, {"g"}))
 
 
+@pytest.mark.parametrize("text, names", [
+    ('g,x\n"a",1\n', ["g", "x"]),
+    # quoted cells that hold a comma, doubled quotes and line breaks
+    ('"x,1","g"\r\n"1.5","a,""b"""\r\n2,"c\r\n\r\nd"\r\n', ["g", "x,1"]),
+], ids=["quoted-cell", "CRLF"])
+def test_quoted_file_is_not_split_by_csv_reader(tmp_path, monkeypatch, text, names):
+    path = _write(tmp_path / "t.csv", text)
+    walk = _outcome(table._read_checked, path, names, {"g"})
+    monkeypatch.setattr(table.csv, "reader", _refuse)
+    assert _outcome(read_columns, path, names, {"g"}) == walk
+
+
+def test_r_style_file_is_not_split_by_csv_reader(tmp_path, monkeypatch):
+    # R's write.csv quotes the header and every text cell; the file reads as
+    # the plain file of test_plain_file_is_not_split_by_csv_reader
+    path = _write(tmp_path / "t.csv",
+                  '"x","g","y","note"\n1.5," a ",-0,""\n2,"b",1e-3,"z"\n')
+    plain = _write(tmp_path / "plain.csv", "x,g,y,note\n1.5, a ,-0,\n2,b,1e-3,z\n")
+    monkeypatch.setattr(table.csv, "reader", _refuse)
+    assert (_outcome(read_columns, path, ["y", "g", "x"], {"g"})
+            == _outcome(read_columns, plain, ["y", "g", "x"], {"g"}))
+
+
 _NUMBERS = ["1.5", "-0", "2", "1e-3", " 4 ", "-12", "1e16", "5e-324", "\t7"]
 _LEVELS = ["a", " b ", "\u00e9", "1.50"]
 _ODD = ["", " ", "nan", "inf", "-Infinity", "1e400", "1_000", "\uff11\uff12",
-        "0x10", '"b, c"', '"1"', 'x"y', "\x00"]
+        "0x10", '"b, c"', '"1"', 'x"y', "\x00", ' "1.5"', '"1.5" ', '"1.5', '"a"b"']
+# cells that must be quoted, drawn only in a quoted file; "\n" stands for
+# the file's line ending
+_QUOTED = ["b, c", 'q"t', "a\nb", '""', "1,5"]
 
 
 @st.composite
 def _csv_files(draw):
-    """CSV text, mostly plain, with odd cells, blank and whitespace-only
-    lines, rows longer and shorter than the header and a chosen line ending,
-    and the names asked of it."""
+    """CSV text, plain or with quoted header and data cells, with odd cells,
+    blank and whitespace-only lines, rows longer and shorter than the header
+    and a chosen line ending, and the names asked of it."""
+    end = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
+    quoted = draw(st.sampled_from([False, True]))
+
+    def cell(value, must=False):
+        # quoted as csv.writer quotes, a line break being the file's ending
+        if must or quoted and draw(st.booleans()):
+            return '"' + value.replace('"', '""').replace("\n", end) + '"'
+        return value
+
     header = draw(st.permutations(["x", "g", "y"]))[:draw(st.integers(1, 3))]
-    header += draw(st.lists(st.sampled_from(["x", " y ", "note"]), max_size=1))
+    extra = ["x", " y ", "note"] + ["n,o\nte"] * quoted
+    header += draw(st.lists(st.sampled_from(extra), max_size=1))
     widths = st.sampled_from([len(header)] * 8 + [len(header) - 1, len(header) + 1])
-    lines = [",".join(header)]
+    lines = [",".join(cell(h, "," in h) for h in header)]
     for _ in range(draw(st.sampled_from([3, 1, 2, 4, 5, 0]))):
         kind = draw(st.sampled_from(["row"] * 10 + ["", "  "]))
         if kind != "row":
@@ -172,9 +209,12 @@ def _csv_files(draw):
         for j in range(draw(widths)):
             level = j < len(header) and header[j] == "g"
             odd = draw(st.sampled_from([False] * 29 + [True]))
-            cells.append(draw(st.sampled_from(_ODD if odd else _LEVELS if level else _NUMBERS)))
+            if quoted and draw(st.sampled_from([False] * 9 + [True])):
+                cells.append(cell(draw(st.sampled_from(_QUOTED)), True))
+            else:
+                cells.append(cell(draw(st.sampled_from(
+                    _ODD if odd else _LEVELS if level else _NUMBERS))))
         lines.append(",".join(cells))
-    end = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
     text = end.join(lines) + draw(st.sampled_from([end, ""]))
     names = draw(st.permutations([h.strip() for h in header]))[:draw(st.integers(1, 3))]
     names += draw(st.sampled_from([[]] * 4 + [["x"], ["w"]]))
@@ -270,11 +310,7 @@ def test_row_counts_around_a_chunk(tmp_path, monkeypatch, rows, newline):
             read_columns(path, ["x", "g"], text={"g"})
         return
     walk = _outcome(table._read_checked, path, ["x", "g"], {"g"})
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("csv.reader called on a plain file")
-
-    monkeypatch.setattr(table.csv, "reader", refuse)
+    monkeypatch.setattr(table.csv, "reader", _refuse)
     columns = read_columns(path, ["x", "g"], text={"g"})
     assert columns["x"].tobytes() == x.tobytes() and columns["x"].flags.c_contiguous
     assert _cells(columns["g"]) == g
@@ -301,7 +337,7 @@ def test_write_table_rejects_a_repeated_name(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("text", ["x,y,x\n1,2,3\n", 'x,y, x \n1,2,"3"\n'],
+@pytest.mark.parametrize("text", ["x,y,x\n1,2,3\n", 'x,y, x \n1,0_2,"3"\n'],
                          ids=["plain", "walk"])
 def test_repeated_name_raises_only_when_asked_for(tmp_path, text):
     path = _write(tmp_path / "t.csv", text)
@@ -312,7 +348,7 @@ def test_repeated_name_raises_only_when_asked_for(tmp_path, text):
             == _outcome(table._read_checked, path, ["y", "x"], ()))
 
 
-@pytest.mark.parametrize("text", ["x,y,z\n1,2,3\n", 'x,y, z \n1,2,"3"\n'],
+@pytest.mark.parametrize("text", ["x,y,z\n1,2,3\n", 'x,y, z \n0_1,2,"3"\n'],
                          ids=["plain", "walk"])
 def test_column_that_must_be_absent_raises(tmp_path, text):
     path = _write(tmp_path / "t.csv", text)
