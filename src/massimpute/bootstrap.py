@@ -86,8 +86,8 @@ records the number of redraws.
 from __future__ import annotations
 
 import functools
-import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +118,7 @@ from .mean_model import (
     solve_quasi_score,
 )
 from .seeding import seed_words
-from .table import read_columns, read_json, write_table
+from .table import read_columns, read_json, write_json, write_table
 from .workers import fork_map
 
 _REFIT_RETRY_CAP = 10
@@ -534,6 +534,18 @@ def manifest_path(csv_path) -> str:
     return str(csv_path) + ".manifest.json"
 
 
+def write_with_manifest(path, header, columns, manifest: dict) -> None:
+    """Write the CSV ``path`` (:func:`~massimpute.table.write_table`) and its
+    ``manifest`` (:func:`~massimpute.table.write_json`), or neither when
+    either refuses what it is given."""
+    write_json(manifest_path(path), manifest)
+    try:
+        write_table(path, header, columns)
+    except (ValidationError, NumericalError, OSError):
+        os.remove(manifest_path(path))  # no manifest of a file not written
+        raise
+
+
 def write_augmented_dataset(
     sample_a: SurveySample,
     replicate_set: ReplicateSet,
@@ -551,32 +563,25 @@ def write_augmented_dataset(
     if sample_a.weight_name:
         names.append(sample_a.weight_name)
     header = names + ["yhat"]
+    cols = [sample_a.columns[name] for name in names] + [replicate_set.base_imputations]
     for k in range(replicate_set.L):
         header += [f"w_rep_{k + 1}", f"yhat_rep_{k + 1}"]
-
-    cols = [sample_a.columns[name] for name in names]
-    cols.append(replicate_set.base_imputations)
-    for k in range(replicate_set.L):
-        cols.append(replicate_set.replicate_weights[:, k])
-        cols.append(replicate_set.replicate_imputations[:, k])
-
+        cols += [replicate_set.replicate_weights[:, k],
+                 replicate_set.replicate_imputations[:, k]]
+    manifest = {
+        "format": "massimpute-augmented-v1",
+        "L": replicate_set.L,
+        "seed": replicate_set.master_seed,
+        "family": model.family.value,
+        "covariate_names": list(model.covariate_names),
+        "intercept_included": model.intercept_included,
+        "weight_name": sample_a.weight_name,
+        "n_a": sample_a.n,
+        "population_size": population_size,
+        "redraws": replicate_set.refit_retries,
+    }
     try:
-        write_table(path, header, cols)
-        manifest = {
-            "format": "massimpute-augmented-v1",
-            "L": replicate_set.L,
-            "seed": replicate_set.master_seed,
-            "family": model.family.value,
-            "covariate_names": list(model.covariate_names),
-            "intercept_included": model.intercept_included,
-            "weight_name": sample_a.weight_name,
-            "n_a": sample_a.n,
-            "population_size": population_size,
-            "redraws": replicate_set.refit_retries,
-        }
-        with open(manifest_path(path), "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        write_with_manifest(path, header, cols, manifest)
     except OSError as exc:
         raise IOFailure(f"cannot write augmented dataset: {exc}") from exc
 

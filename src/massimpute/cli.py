@@ -24,11 +24,11 @@ from .bootstrap import (
     IMPUTED_FORMAT,
     bootstrap_refit,
     bootstrap_variance,
-    manifest_path,
     read_augmented_dataset,
     replicate_estimates,
     sample_a_replicates,
     write_augmented_dataset,
+    write_with_manifest,
 )
 from .data_model import (
     ColumnSchema,
@@ -48,7 +48,7 @@ from .mean_model import (
     read_model_document,
 )
 from .simulation import SimConfig, run_monte_carlo, write_per_rep_csv
-from .table import read_json, write_table
+from .table import read_json, write_json
 from .variance import interval_summary, linearized_variance
 from .workers import usable_cpus, use_builtin_hashes
 
@@ -61,17 +61,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_json(path, doc) -> None:
-    """Write ``doc``; a non-finite number in it raises :class:`NumericalError`
-    before the file is opened."""
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise NumericalError(f"{path}: a result is not finite") from None
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,7 +252,7 @@ def cmd_fit(args) -> int:
     doc = model_document(model, schema)
     doc["version"] = __version__
     doc["input_digests"] = {args.train: _sha256(args.train)}
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
     return 0
 
 
@@ -293,9 +282,6 @@ def cmd_impute(args) -> int:
     yhat = predict_all(model, design_a)
 
     names = list(sample_a.covariate_names) + [args.weight]
-    write_table(
-        args.out, names + ["yhat"], [sample_a.columns[n] for n in names] + [yhat]
-    )
     manifest = {
         "format": IMPUTED_FORMAT,
         "model": model_doc,
@@ -306,7 +292,8 @@ def cmd_impute(args) -> int:
             args.sample_a: _sha256(args.sample_a),
         },
     }
-    _write_json(manifest_path(args.out), manifest)
+    write_with_manifest(args.out, names + ["yhat"],
+                        [sample_a.columns[n] for n in names] + [yhat], manifest)
     return 0
 
 
@@ -351,7 +338,7 @@ def cmd_estimate(args) -> int:
         doc["variance"] = {"method": "linearized", **lin.to_dict()}
         doc["n_b"] = sample_b.n
         doc["input_digests"][args.train] = _sha256(args.train)
-    _write_json(args.report, doc)
+    write_json(args.report, doc)
     return 0
 
 
@@ -384,9 +371,7 @@ def cmd_simulate(args) -> int:
     except ValidationError as exc:  # flags that conflict, such as n_a + n_b > N
         raise UsageError(f"simulate: {exc}") from None
     report = run_monte_carlo(config)
-    with open(args.report, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    write_json(args.report, report.to_dict())
     if args.per_rep:
         write_per_rep_csv(report, args.per_rep)
     print(

@@ -148,8 +148,8 @@ class NoConvergence(NumericalError):
 class Separation(NumericalError):
     def __init__(self):
         super().__init__(
-            "perfect separation detected: coefficients diverging with fitted "
-            "probabilities pinned at 0/1"
+            "perfect separation detected: the fitted model classifies every "
+            "unit or pins every probability at 0/1, so no finite fit exists"
         )
 
 

@@ -271,14 +271,26 @@ def _block_means(family: ModelFamily, XT: np.ndarray, beta: np.ndarray):
         yield block, mean_values(family, XT[:, block].T, beta)
 
 
-def _check_separation(family: ModelFamily, XT: np.ndarray, beta: np.ndarray) -> None:
-    # Under perfect separation the score converges numerically once the
-    # fitted probabilities saturate, so pinned probabilities are the
-    # reliable signal; the coefficient norm alone never trips first.
-    if family is ModelFamily.LOGISTIC and all(
-        np.all(np.minimum(m, 1.0 - m) < 1e-8) for _, m in _block_means(family, XT, beta)
-    ):
-        raise Separation()
+def _check_separation(family: ModelFamily, XT: np.ndarray, y: np.ndarray,
+                      beta: np.ndarray) -> None:
+    """Raise :class:`Separation` for a logistic fit at ``beta`` whose every
+    fitted probability is pinned within 1e-8 of 0 or 1, or, for a 0/1
+    response, whose linear predictor classifies every unit correctly: the
+    data are then completely separated and no finite maximum exists (Albert
+    & Anderson, 1984), though the score converges numerically once the
+    probabilities saturate.  Quasi-complete separation, with units on the
+    boundary, is out of scope.  One pass over the unit blocks makes both
+    tests and stops at the first block that fails both."""
+    if family is not ModelFamily.LOGISTIC:
+        return
+    pinned = classified = True
+    for block, m in _block_means(family, XT, beta):
+        pinned = pinned and bool(np.all(np.minimum(m, 1.0 - m) < 1e-8))
+        classified = classified and bool(np.all(
+            np.where(y[block] == 1.0, m > 0.5, (y[block] == 0.0) & (m < 0.5))))
+        if not (pinned or classified):
+            return
+    raise Separation()
 
 
 def solve_quasi_score(
@@ -316,9 +328,9 @@ def solve_quasi_score(
         # damped_newton asks for the Jacobian at the point it scored last
         beta, iterations, norm = damped_newton(score, lambda _: jac, np.zeros(p), 1e-10)
     except NoConvergence as exc:
-        _check_separation(family, XT, exc.last)
+        _check_separation(family, XT, y, exc.last)
         raise
-    _check_separation(family, XT, beta)
+    _check_separation(family, XT, y, beta)
     return beta, iterations, norm
 
 

@@ -9,8 +9,7 @@ words and draws those words from it.
 
 The hash constants are one fixed sequence whatever the entropy, so each hash
 step is one array operation over all k.  Words are kept in int64 arrays
-below 2^32, and a 32-bit product is formed from two 16-bit halves of the
-constant, so no step overflows.
+below 2^32.
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ def _words(n: int) -> list[int]:
 
 
 def _mul(x, c: int):
-    """x * c mod 2^32 for x below 2^32, an int or an int64 array."""
-    return (x * (c & 0xFFFF) + (((x * (c >> 16)) & 0xFFFF) << 16)) & _MASK32
+    """x * c mod 2^32 for x and c below 2^32, x an int or an int64 array: an
+    array's product wraps modulo 2^64, which keeps its low 32 bits."""
+    return (x * c) & _MASK32
 
 
 def _mix(x, y):

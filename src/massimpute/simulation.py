@@ -11,7 +11,6 @@ both variance estimators of the mass imputation estimator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
@@ -252,9 +251,6 @@ class SimReport:
             "variance_methods": self.variance_methods,
             "failed_reps": self.failed_reps,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def run_monte_carlo(config: SimConfig) -> SimReport:

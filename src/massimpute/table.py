@@ -1,4 +1,4 @@
-"""CSV tables and JSON input: the one module that writes or parses CSV or reads JSON.
+"""CSV tables and JSON documents: the one CSV and the one JSON reader and writer.
 
 Written files use LF line endings, quote a header cell only when it contains
 a comma, a quote or a line break, and hold floats as their shortest
@@ -254,6 +254,18 @@ def _value(name, i, cell, levels):
     if not math.isfinite(value):
         raise NonFiniteValue(name, i, cell)
     return value
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` with sorted keys, indented by two spaces, and a final
+    newline; a non-finite number in it raises :class:`NumericalError` before
+    the file is opened."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError(f"{path}: a result is not finite") from None
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def read_json(path, error=ValidationError):

@@ -278,7 +278,11 @@ def test_criterion_9_threading_determinism():
                 master_seed=SEED,
                 threads=threads,
             )
-        ).to_json()
+        )
 
-    assert run(1) == run(8)
+    one, eight = run(1), run(8)
+    assert one.to_dict() == eight.to_dict()
+    assert one.per_rep.keys() == eight.per_rep.keys()
+    for name, values in one.per_rep.items():
+        assert np.array_equal(values, eight.per_rep[name]), name
     _report("9 (threading determinism)")

@@ -299,8 +299,9 @@ class TestLinearRefitOracle:
 
 def _quasi_score_loop(family, X, y, L, seed):
     """Reference: one Newton fit from zeros per replicate on all n gathered
-    rows, unweighted, with the separation check; a replicate that fails is
-    redrawn on the next substream."""
+    rows, unweighted, with the separation checks (every probability pinned,
+    or every 0/1 response classified); a replicate that fails is redrawn on
+    the next substream."""
     n, p = X.shape
     betas = np.empty((L, p))
     retries = 0
@@ -323,7 +324,9 @@ def _quasi_score_loop(family, X, y, L, seed):
                 retries += 1
                 continue
             m = mean_values(family, Xk, beta)
-            if family is ModelFamily.LOGISTIC and np.all(np.minimum(m, 1 - m) < 1e-8):
+            if family is ModelFamily.LOGISTIC and (
+                    np.all(np.minimum(m, 1 - m) < 1e-8)
+                    or np.all(np.where(yk == 1, m > 0.5, (yk == 0) & (m < 0.5)))):
                 retries += 1
                 continue
             betas[k] = beta
@@ -333,12 +336,14 @@ def _quasi_score_loop(family, X, y, L, seed):
     return betas, retries
 
 
-def _near_separated(n):
-    # y = 1{x > 0} with the two middle labels swapped: a resample that
-    # misses either of those two rows is separated
+def _near_separated(n, overlap=2):
+    # y = 1{x > 0} with the labels of the middle 2 * overlap rows reversed: a
+    # resample that misses every row of either middle half is separated, a
+    # minority of resamples at overlap 2 and most at overlap 1
     x = np.linspace(-1.0, 1.0, n)
     y = (x > 0).astype(float)
-    y[n // 2 - 1], y[n // 2] = y[n // 2], y[n // 2 - 1]
+    middle = slice(n // 2 - overlap, n // 2 + overlap)
+    y[middle] = y[middle][::-1].copy()
     sample = make_sample_b(x, y)
     return sample, build_design_matrix(sample, ("x",), intercept=True)
 
@@ -361,7 +366,7 @@ class TestQuasiScoreRefitOracle:
         np.testing.assert_allclose(betas, expected, rtol=1e-9)
 
     @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
-    @pytest.mark.parametrize("n, redraws", [(20, 253), (40, 69)])
+    @pytest.mark.parametrize("n, redraws", [(20, 81), (40, 95)])
     def test_near_separated_redraws(self, n, redraws):
         sample, dm = _near_separated(n)
         betas, retries = bootstrap_refit(sample, ModelFamily.LOGISTIC, dm, L=300,
@@ -373,12 +378,22 @@ class TestQuasiScoreRefitOracle:
 
     @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
     def test_near_separated_aborts(self):
-        sample, dm = _near_separated(12)
+        # replicate 133 is the first whose every redraw is separated
+        sample, dm = _near_separated(12, overlap=1)
         with pytest.raises(NumericalError, match="replicate 133 "):
             bootstrap_refit(sample, ModelFamily.LOGISTIC, dm, L=300, seed=11)
         with pytest.raises(NumericalError, match="replicate 133 "):
             _quasi_score_loop(ModelFamily.LOGISTIC, dm.values, sample.responses,
                               300, 11)
+
+    @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
+    def test_separated_sample_aborts(self, rng):
+        # y = 1{x > 0}: every resample is separated, so every redraw fails
+        x = rng.normal(size=200)
+        sample = make_sample_b(x, (x > 0).astype(float))
+        dm = build_design_matrix(sample, ("x",), intercept=True)
+        with pytest.raises(NumericalError, match="replicate 0 "):
+            bootstrap_refit(sample, ModelFamily.LOGISTIC, dm, L=4, seed=1)
 
     def test_prefix_stability(self, rng):
         x = rng.normal(size=400)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -33,6 +34,8 @@ from massimpute import (
 )
 from massimpute.bootstrap import manifest_path
 from massimpute.cli import run_cli
+from massimpute.errors import NumericalError
+from massimpute.table import write_json
 
 from conftest import make_sample_b, write_csv
 
@@ -100,6 +103,20 @@ class TestFit:
         ])
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "RankDeficient"
+
+    @pytest.mark.filterwarnings("ignore::massimpute.errors.OverflowGuardWarning")
+    def test_separated_logistic_fit_exits_4(self, tmp_path, capsys, rng):
+        # y = 1{x > 0}: the fitted predictor classifies every unit, so no
+        # finite fit exists, whether or not every probability is pinned
+        x = rng.normal(size=200)
+        train = _write_b(tmp_path / "b.csv", x, (x > 0).astype(float))
+        code = run_cli([
+            "fit", "--train", str(train), "--response", "y", "--covariates", "x",
+            "--family", "logistic", "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "Separation"
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_column_exits_3(self, tmp_path, capsys):
         train = _write_b(tmp_path / "b.csv", [0.0, 1.0], [1.0, 3.0])
@@ -738,11 +755,12 @@ def test_bootstrap_workers_write_identical_files(tmp_path, rng):
     write_csv(tmp_path / "b.csv", ["x", "x2", "y", "z"], zip(x, x2, y, z))
     write_csv(tmp_path / "a.csv", ["x", "x2", "w"],
               zip(rng.normal(2, 1, n_a), rng.normal(0, 1, n_a), np.full(n_a, 50.0)))
-    # y = 1{x > 0} with the two middle labels swapped: a resample that misses
-    # either of them is separated and is redrawn
+    # y = 1{x > 0} with the labels of the middle four rows reversed: a
+    # resample that misses both rows of either middle pair is separated and
+    # is redrawn
     x_sep = np.linspace(-1.0, 1.0, 20)
     y_sep = (x_sep > 0).astype(float)
-    y_sep[9], y_sep[10] = y_sep[10], y_sep[9]
+    y_sep[8:12] = y_sep[8:12][::-1].copy()
     _write_b(tmp_path / "sep.csv", x_sep, y_sep)
     # above 8,192 units of B, with L = 3 one worker's range holds a single
     # replicate, which einsum would sum in another order than a row of two
@@ -954,14 +972,82 @@ def test_huge_pop_size_gives_a_finite_linearized_variance(design, pipeline_files
     assert 0 < report["theta_hat"] < 1e-195  # a mean of about 5 over 1e200
 
 
-def test_report_with_a_non_finite_number_is_not_written(tmp_path):
+def test_report_with_a_non_finite_number_is_not_written(pipeline_files, capsys,
+                                                         monkeypatch):
+    # every document goes through table.write_json, which refuses NaN and
+    # infinity before it opens the file; each command then exits 4 with one
+    # JSON error and writes nothing, neither the document nor its CSV
     from massimpute import cli
-    from massimpute.errors import NumericalError
 
-    for value in (float("nan"), float("inf")):
+    files, d, nan = pipeline_files, pipeline_files["dir"], float("nan")
+    for value in (nan, float("inf"), -float("inf")):
         with pytest.raises(NumericalError, match="not finite"):
-            cli._write_json(tmp_path / "r.json", {"variance": {"v_total": value}})
-    assert not (tmp_path / "r.json").exists()
+            write_json(d / "r.json", {"variance": {"v_total": value}})
+    assert not (d / "r.json").exists()
+
+    model, imputed = _fit_model_file(files), d / "imputed.csv"
+    assert run_cli(["impute", "--model", str(model), "--sample-a", files["sample_a"],
+                    "--weight", "w", "--out", str(imputed)]) == 0
+    # the model reader ignores keys it does not use; the manifest copies them
+    nan_model = d / "nan_model.json"
+    nan_model.write_text(json.dumps({**json.loads(model.read_text()), "h_choice": nan}))
+    model_document, write_release = cli.model_document, cli.write_augmented_dataset
+    run_monte_carlo = cli.run_monte_carlo
+
+    def nan_model_document(model, schema):
+        return {**model_document(model, schema), "final_score_norm": nan}
+
+    def nan_release(*args, **kwargs):
+        return write_release(*args, **{**kwargs, "population_size": nan})
+
+    def nan_study(config):
+        return dataclasses.replace(run_monte_carlo(config), theta_n=nan)
+
+    fit = ["--train", files["train"], "--response", "y", "--covariates", "x"]
+    sample_a = ["--sample-a", files["sample_a"], "--weight", "w"]
+    for kind, patch, argv in [
+        ("model", ("model_document", nan_model_document),
+         ["fit", *fit, "--out", str(d / "m.json")]),
+        ("imputed manifest", None,
+         ["impute", "--model", str(nan_model), *sample_a, "--out", str(d / "i.csv")]),
+        ("estimate report", ("ht_mean", lambda *args: nan),
+         ["estimate", "--imputed", str(imputed), "--report", str(d / "r.json")]),
+        ("release manifest", ("write_augmented_dataset", nan_release),
+         ["bootstrap", *fit, *sample_a, "--L", "3", "--out", str(d / "aug.csv")]),
+        ("simulate report", ("run_monte_carlo", nan_study),
+         ["simulate", "--model", "I", "--reps", "2", "--boot-l", "0", "--pop-size",
+          "2000", "--n-a", "50", "--n-b", "50", "--report", str(d / "sim.json"),
+          "--per-rep", str(d / "per_rep.csv")]),
+    ]:
+        before = sorted(os.listdir(d))
+        with monkeypatch.context() as m:
+            if patch:
+                m.setattr(cli, *patch)
+            capsys.readouterr()
+            assert run_cli(argv) == 4, kind
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, kind  # one JSON object and nothing else
+        assert json.loads(err)["error"] == "NumericalError", kind
+        assert "not finite" in json.loads(err)["message"], kind
+        assert sorted(os.listdir(d)) == before, kind
+
+
+def test_release_with_a_non_finite_population_size_is_not_written(pipeline_files):
+    files, d = pipeline_files, pipeline_files["dir"]
+    sample_b = load_sample(files["train"], ColumnSchema(("x",), "y"),
+                           SampleKind.NON_PROBABILITY_B)
+    sample_a = load_sample(files["sample_a"], ColumnSchema(("x",), weight="w"),
+                           SampleKind.PROBABILITY_A)
+    design_b = build_design_matrix(sample_b, ("x",))
+    model = fit_model(ModelFamily.LINEAR, sample_b, design_b)
+    replicates = build_replicates(model, sample_a, sample_b,
+                                  build_design_matrix(sample_a, ("x",)), design_b,
+                                  ppswr_design(1000.0), 3, 5)
+    before = sorted(os.listdir(d))
+    with pytest.raises(NumericalError, match="not finite"):
+        write_augmented_dataset(sample_a, replicates, model, d / "aug.csv",
+                                population_size=float("nan"))
+    assert sorted(os.listdir(d)) == before  # neither the file nor its manifest
 
 
 def _bad_input_case(case, files):

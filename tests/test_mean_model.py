@@ -215,6 +215,16 @@ class TestFitModel:
         with pytest.raises(Separation):
             fit_model(ModelFamily.LOGISTIC, sample, dm)
 
+    def test_fractional_response_is_not_separated(self):
+        # the sign test is for a 0/1 response: proportions that the predictor
+        # orders perfectly still have a finite fit
+        x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+        y = np.where(x > 0, 0.8, 0.2)
+        sample = make_sample_b(x, y)
+        dm = build_design_matrix(sample, ("x",), intercept=True)
+        beta = fit_model(ModelFamily.LOGISTIC, sample, dm).beta_hat
+        assert np.all(np.isfinite(beta)) and beta[1] > 0
+
     def test_deterministic(self, rng):
         x = rng.normal(2, 1, size=200)
         y = (rng.uniform(size=200) < 0.4).astype(float)

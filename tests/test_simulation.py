@@ -137,9 +137,12 @@ class TestRunMonteCarlo:
         assert "wall_clock_seconds" not in doc
 
     def test_threads_give_identical_reports(self):
-        serial = run_monte_carlo(self._config(threads=1)).to_json()
-        parallel = run_monte_carlo(self._config(threads=2)).to_json()
-        assert serial == parallel
+        serial = run_monte_carlo(self._config(threads=1))
+        parallel = run_monte_carlo(self._config(threads=2))
+        assert serial.to_dict() == parallel.to_dict()
+        assert serial.per_rep.keys() == parallel.per_rep.keys()
+        for name, values in serial.per_rep.items():
+            assert np.array_equal(values, parallel.per_rep[name]), name
 
     def test_seed_changes_results(self):
         base = run_monte_carlo(self._config())
@@ -149,7 +152,10 @@ class TestRunMonteCarlo:
                 reps=8, bootstrap_L=20, master_seed=12,
             )
         )
-        assert base.to_json() != other.to_json()
+        assert base.to_dict() != other.to_dict()
+        assert base.per_rep.keys() == other.per_rep.keys()
+        for name, values in base.per_rep.items():
+            assert not np.array_equal(values, other.per_rep[name]), name
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
