@@ -58,7 +58,7 @@ does each redraw attempt, and uses each draw group (32 resamples at
 n_B = 500) as soon as it is drawn: no L x n_B count matrix exists.
 Linear refits take :func:`~massimpute.mean_model.least_squares`, the
 full-sample fit's normal equations, in its two steps: each group's
-count-weighted sums are written into the range's L x (p+1) x (p+1) rows,
+count-weighted sums are stored in the range's L x (p+1) x (p+1) rows,
 and one finish per range and attempt screens, solves and maps back all of
 them, so its fixed cost is paid once, not once a group.  A row that fails
 the eigenvalue screen takes the exact rank test on its counts, drawn again
@@ -318,7 +318,7 @@ def bootstrap_refit(
             del counts  # before the block is summed
             if filled < len(buffer) and rows.stop < len(ks):
                 continue
-            normal_sums(buffer[:filled], sums[rows.stop - filled : rows.stop])
+            sums[rows.stop - filled : rows.stop] = normal_sums(buffer[:filled])
             filled = 0
         del buffer  # before the finish's rank tests
 

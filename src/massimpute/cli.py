@@ -4,10 +4,10 @@ All reports are JSON, all data tables CSV.  The model, the imputed-file
 manifest and the estimate report carry the tool version and SHA-256 digests
 of their inputs; the release manifest and the simulate report carry the seed.
 Identical invocations reproduce byte-identical outputs.  Exit codes: 2
-usage, 3 data validation, 4 numerical failure; errors are emitted as a JSON
-object on stderr.  argparse checks each flag on its own (its types hold the
-bounds) and reports what it rejects as a usage error; the code checks only
-flags against each other.
+usage, 3 data validation, 4 numerical failure; an error is emitted as one
+JSON object on stderr, which holds no warning text.  argparse checks each
+flag on its own (its types hold the bounds) and reports what it rejects as
+a usage error; the code checks only flags against each other.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -256,29 +257,32 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_sample_a(args, model, schema):
-    """Sample A under sample B's ``schema``, with its design built from the
-    model's column names.
+def _load_under_model(path, model, schema, weight=None):
+    """Sample B at ``path``, or sample A with its ``weight`` column, read
+    under the fit's ``schema``, with its design built from the model's
+    column names.
 
-    A column of A that the model lacks, such as a categorical level that
-    sample B never saw, has no coefficient and is rejected.
+    A column that the model lacks, such as a categorical level that the
+    fit's sample B never saw, has no coefficient and is rejected.
     """
-    schema = replace(schema, response=None, weight=args.weight)
-    sample_a = load_sample(args.sample_a, schema, SampleKind.PROBABILITY_A)
-    design_a = build_design_matrix(
-        sample_a, model.raw_names, intercept=model.intercept_included
-    )
-    unknown = [n for n in sample_a.covariate_names if n not in model.covariate_names]
+    kind = SampleKind.NON_PROBABILITY_B
+    if weight is not None:
+        schema = replace(schema, response=None, weight=weight)
+        kind = SampleKind.PROBABILITY_A
+    sample = load_sample(path, schema, kind)
+    design = build_design_matrix(sample, model.raw_names,
+                                 intercept=model.intercept_included)
+    unknown = [n for n in sample.covariate_names if n not in model.covariate_names]
     if unknown:
-        raise ValidationError(f"sample A columns {unknown} are not in the model: "
-                              "levels that sample B lacks cannot be imputed")
-    return sample_a, design_a
+        raise ValidationError(f"{path}: columns {unknown} are not in the model: "
+                              "a level that the fit's sample B lacks has no coefficient")
+    return sample, design
 
 
 def cmd_impute(args) -> int:
     model_doc = read_json(args.model)
     model, schema = read_model_document(model_doc)
-    sample_a, design_a = _load_sample_a(args, model, schema)
+    sample_a, design_a = _load_under_model(args.sample_a, model, schema, args.weight)
     yhat = predict_all(model, design_a)
 
     names = list(sample_a.covariate_names) + [args.weight]
@@ -324,11 +328,9 @@ def cmd_estimate(args) -> int:
         }
     elif linearized:
         model, sample_a = dataset.model, dataset.sample_a
-        sample_b = load_sample(args.train, dataset.schema, SampleKind.NON_PROBABILITY_B)
-        design_a, design_b = (
-            build_design_matrix(s, model.raw_names, intercept=model.intercept_included)
-            for s in (sample_a, sample_b)
-        )
+        sample_b, design_b = _load_under_model(args.train, model, dataset.schema)
+        design_a = build_design_matrix(sample_a, model.raw_names,
+                                       intercept=model.intercept_included)
         design_spec = srs_design(N) if args.design == "srs" else ppswr_design()
         # an overflow leaves a component infinite or NaN, which is refused
         with np.errstate(over="ignore", invalid="ignore"):
@@ -344,7 +346,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     model, sample_b, design_b, schema = _fit_from_args(args)
-    sample_a, design_a = _load_sample_a(args, model, schema)
+    sample_a, design_a = _load_under_model(args.sample_a, model, schema, args.weight)
     betas, retries = bootstrap_refit(
         sample_b, model.family, design_b, args.L, args.seed, usable_cpus()
     )
@@ -408,19 +410,23 @@ def run_cli(argv=None) -> int:
     use_builtin_hashes()
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        argv, config = _splice_config(argv)
-        args = build_parser().parse_args(argv)
-        _check_config_lists(config, args)
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        return _fail(exc, 2)
-    except ValidationError as exc:
-        return _fail(exc, 3)
-    except OSError as exc:
-        return _fail(IOFailure(str(exc)), 3)
-    except NumericalError as exc:
-        return _fail(exc, 4)
+    # stderr holds the JSON error alone: a warning, such as the overflow
+    # guard's, is dropped unless a filter of the caller's (-W, -X dev) takes it
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", append=True)
+        try:
+            argv, config = _splice_config(argv)
+            args = build_parser().parse_args(argv)
+            _check_config_lists(config, args)
+            return _COMMANDS[args.command](args)
+        except UsageError as exc:
+            return _fail(exc, 2)
+        except ValidationError as exc:
+            return _fail(exc, 3)
+        except OSError as exc:
+            return _fail(IOFailure(str(exc)), 3)
+        except NumericalError as exc:
+            return _fail(exc, 4)
 
 
 def main() -> None:

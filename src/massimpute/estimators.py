@@ -101,7 +101,8 @@ def fit_propensity(
     """Solve the participation score equations by Newton iteration.
 
     The score balances covariate totals over B against the weighted logistic
-    totals over A; the Jacobian is the negative weighted information matrix.
+    totals over A; ``score`` returns it with its Jacobian, the negative
+    weighted information matrix.
     """
     if design_a.column_names != design_b.column_names:
         raise ColumnMismatch(design_a.column_names, design_b.column_names)
@@ -109,19 +110,13 @@ def fit_propensity(
     wa = sample_a.weights
     xb_total = design_b.values.sum(axis=0)
 
-    pi = wpi = None
-
     def score(phi):
-        nonlocal pi, wpi
         pi = mean_values(ModelFamily.LOGISTIC, xa, phi)
         wpi = wa * pi
-        return xb_total - np.einsum("in,n->i", xa.T, wpi)
+        return (xb_total - np.einsum("in,n->i", xa.T, wpi),
+                -np.einsum("in,jn->ij", xa.T * (wpi * (1.0 - pi)), xa.T))
 
-    def jacobian(phi):
-        # pi and wa * pi were computed at phi by the score call just before
-        return -np.einsum("in,jn->ij", xa.T * (wpi * (1.0 - pi)), xa.T)
-
-    phi, iterations, norm = damped_newton(score, jacobian, np.zeros(xa.shape[1]), 1e-8)
+    phi, iterations, norm = damped_newton(score, np.zeros(xa.shape[1]), 1e-8)
     return PropensityModel(phi, norm, iterations, design_a.column_names)
 
 

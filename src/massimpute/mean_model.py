@@ -226,37 +226,35 @@ def read_model_document(doc) -> tuple[FittedModel, ColumnSchema]:
     )
 
 
-def damped_newton(score, jacobian, x0: np.ndarray, tolerance: float):
-    """Newton root-finding with step-halving on the max-norm of ``score``.
+def damped_newton(score, x0: np.ndarray, tolerance: float):
+    """Newton root-finding with step-halving on the max-norm of the score.
 
-    ``score(x)`` is the vector to drive to zero and ``jacobian(x)`` its
-    derivative matrix; ``jacobian`` is only asked for the point most recently
-    passed to ``score``.  Each full Newton step is halved until the score norm
-    decreases, up to ``MAX_HALVINGS`` times; the last candidate is taken
-    either way.  Returns (x, iterations, norm) once the norm is at most
-    ``tolerance``.  Raises :class:`NoConvergence`, carrying the last iterate,
-    when ``x`` leaves the ``DIVERGENCE_BOUND`` ball or ``MAX_ITERATIONS`` is
-    reached.
+    ``score(x)`` returns the vector to drive to zero and its Jacobian at
+    ``x``.  Each full Newton step is halved until the score norm decreases,
+    up to ``MAX_HALVINGS`` times; the last candidate is taken either way.
+    Returns (x, iterations, norm) once the norm is at most ``tolerance``.
+    Raises :class:`NoConvergence`, carrying the last iterate, when ``x``
+    leaves the ``DIVERGENCE_BOUND`` ball or ``MAX_ITERATIONS`` is reached.
     """
     x = x0
-    s = score(x)
+    s, jac = score(x)
     norm = float(np.abs(s).max())
     for iteration in range(1, MAX_ITERATIONS + 1):
         if norm <= tolerance:
             return x, iteration - 1, norm
         try:
-            step = np.linalg.solve(jacobian(x), -s)
+            step = np.linalg.solve(jac, -s)
         except np.linalg.LinAlgError:
             raise RankDeficient("singular Jacobian in Newton solve") from None
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = x + scale * step
-            cand_score = score(candidate)
+            cand_score, cand_jac = score(candidate)
             cand_norm = float(np.abs(cand_score).max())
             if cand_norm < norm:
                 break
             scale *= 0.5
-        x, s, norm = candidate, cand_score, cand_norm
+        x, s, jac, norm = candidate, cand_score, cand_jac, cand_norm
         if math.sqrt(x.dot(x)) > DIVERGENCE_BOUND:  # np.linalg.norm's arithmetic
             raise NoConvergence(iteration, norm, x)
     if norm <= tolerance:
@@ -303,16 +301,14 @@ def solve_quasi_score(
     so a row of weight c stands for c copies of it.  The bootstrap passes each
     resample's distinct rows with their draw counts.  The default, one per
     row, gives the plain fit bit for bit, since multiplying by 1.0 is exact.
-    Each pass over the unit blocks forms the score and the Jacobian at its
-    point together, so no per-unit array outlives its block.
+    One pass over the unit blocks forms the score and its Jacobian for
+    :func:`damped_newton`, so no per-unit array outlives its block.
     """
     n, p = X.shape
     XT = X.T
     total = n if weights is None else weights.sum()
-    jac = None
 
     def score(beta):
-        nonlocal jac
         s, J = np.zeros(p), np.zeros((p, p))
         for block, m in _block_means(family, XT, beta):
             resid = y[block] - m
@@ -321,12 +317,10 @@ def solve_quasi_score(
                 resid, w = weights[block] * resid, weights[block] * w
             s += np.einsum("in,n->i", XT[:, block], resid)
             J += np.einsum("in,jn->ij", XT[:, block] * w, XT[:, block])
-        jac = -J / total
-        return s / total
+        return s / total, -J / total
 
     try:
-        # damped_newton asks for the Jacobian at the point it scored last
-        beta, iterations, norm = damped_newton(score, lambda _: jac, np.zeros(p), 1e-10)
+        beta, iterations, norm = damped_newton(score, np.zeros(p), 1e-10)
     except NoConvergence as exc:
         _check_separation(family, XT, y, exc.last)
         raise
@@ -336,10 +330,10 @@ def solve_quasi_score(
 
 def least_squares(design: DesignMatrix, y: np.ndarray):
     """Count-weighted least squares of ``y`` on ``design``, in two steps.
-    ``normal_sums(counts, out)`` writes into the k x (p+1) x (p+1) ``out``
-    the normal-equation sums of each row of a k x n count matrix (a
-    resample's draw counts), or with no counts those of the plain fit as one
-    row.  ``finish(sums, counts_of)`` solves any number of such rows at once
+    ``normal_sums(counts)`` returns the k x (p+1) x (p+1) normal-equation
+    sums of each row of a k x n count matrix (a resample's draw counts), or
+    with no counts those of the plain fit as one row.
+    ``finish(sums, counts_of)`` solves any number of such rows at once
     and returns the k x p coefficients and a mask of the rows that fitted:
     those whose Gram matrix clears an eigenvalue screen or, failing it, whose
     count-weighted design passes the exact ``matrix_rank`` test, and solves;
@@ -375,10 +369,11 @@ def least_squares(design: DesignMatrix, y: np.ndarray):
     back = np.diag(1.0 / scale)
     back[:, 0] -= shift / scale
 
-    def normal_sums(counts: np.ndarray | None, out: np.ndarray) -> None:
+    def normal_sums(counts: np.ndarray | None = None) -> np.ndarray:
         # count-weighted sums of each product row V[r] * V[c], formed one at
         # a time in each block and added to the blocks before: the Gram
         # matrix, then Z'y in column p
+        out = np.empty((1 if counts is None else len(counts), p + 1, p + 1))
         for block in unit_blocks(n):
             Vb = centred(block)
             Vb[:p] /= scale[:, None]
@@ -392,6 +387,7 @@ def least_squares(design: DesignMatrix, y: np.ndarray):
                     if block.start:
                         part += out[:, r, c]
                     out[:, r, c] = out[:, c, r] = part
+        return out
 
     def finish(sums: np.ndarray, counts_of=None) -> tuple[np.ndarray, np.ndarray]:
         k = len(sums)
@@ -436,9 +432,7 @@ def fit_model(
     # else the exact test (Newton flags neither near-singular designs nor
     # short ones)
     normal_sums, finish = least_squares(design_matrix, y)
-    sums = np.empty((1, p + 1, p + 1))
-    normal_sums(None, sums)
-    betas, ok = finish(sums)
+    betas, ok = finish(normal_sums())
     del normal_sums, finish  # and their unit-block buffers, before the score
     if not ok[0]:
         raise RankDeficient()

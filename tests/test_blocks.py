@@ -62,10 +62,7 @@ def _least_squares(design, y, counts=None):
     """least_squares' two steps on the rows of ``counts``, or on the plain
     fit as one row."""
     normal_sums, finish = least_squares(design, y)
-    p = design.values.shape[1]
-    sums = np.empty((1 if counts is None else len(counts), p + 1, p + 1))
-    normal_sums(counts, sums)
-    return finish(sums, None if counts is None else counts.__getitem__)
+    return finish(normal_sums(counts), None if counts is None else counts.__getitem__)
 
 
 # -- the whole-array formulas ------------------------------------------------
@@ -98,13 +95,11 @@ def _whole_quasi_score(X, y, c):
         return 1.0 / (1.0 + np.exp(-np.einsum("in,i->n", X.T, beta)))
 
     def score(beta):
-        return np.einsum("in,n->i", X.T, c * (y - means(beta))) / total
-
-    def jacobian(beta):
         m = means(beta)
-        return -np.einsum("in,jn->ij", X.T * (c * (m * (1.0 - m))), X.T) / total
+        return (np.einsum("in,n->i", X.T, c * (y - m)) / total,
+                -np.einsum("in,jn->ij", X.T * (c * (m * (1.0 - m))), X.T) / total)
 
-    return damped_newton(score, jacobian, np.zeros(X.shape[1]), 1e-10)
+    return damped_newton(score, np.zeros(X.shape[1]), 1e-10)
 
 
 def _whole_variance_b(model, sample_b, design_a, design_b, weights_a, N):

@@ -311,15 +311,12 @@ def _quasi_score_loop(family, X, y, L, seed):
             Xk, yk = X[idx], y[idx]
 
             def score(beta):
-                return Xk.T @ (yk - mean_values(family, Xk, beta)) / n
-
-            def jacobian(beta):
                 m = mean_values(family, Xk, beta)
                 w = m * (1.0 - m) if family is ModelFamily.LOGISTIC else m
-                return -(Xk.T * w) @ Xk / n
+                return Xk.T @ (yk - m) / n, -(Xk.T * w) @ Xk / n
 
             try:
-                beta, _, _ = damped_newton(score, jacobian, np.zeros(p), 1e-10)
+                beta, _, _ = damped_newton(score, np.zeros(p), 1e-10)
             except NumericalError:
                 retries += 1
                 continue

@@ -118,6 +118,25 @@ class TestFit:
         assert json.loads(capsys.readouterr().err)["error"] == "Separation"
         assert not (tmp_path / "m.json").exists()
 
+    def test_separated_fit_prints_one_json_object(self, tmp_path):
+        # the fit's iterates saturate the exponent, and the library warns of
+        # it: under Python's default warning filters, in a process of its
+        # own, stderr still holds the JSON error and nothing else
+        x = np.random.default_rng(1).normal(0, 1, 200)
+        _write_b(tmp_path / "b.csv", x, (x > 0).astype(float))
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+        env["PYTHONPATH"] = str(pathlib.Path(massimpute.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "massimpute.cli", "fit", "--train", "b.csv",
+             "--response", "y", "--covariates", "x", "--family", "logistic",
+             "--out", "m.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 4
+        assert json.loads(done.stderr)["error"] == "Separation"
+        assert done.stdout == "" and not (tmp_path / "m.json").exists()
+
     def test_missing_column_exits_3(self, tmp_path, capsys):
         train = _write_b(tmp_path / "b.csv", [0.0, 1.0], [1.0, 3.0])
         code = run_cli([
@@ -593,6 +612,31 @@ def test_level_missing_from_b_exits_3(tmp_path, rng, capsys):
         assert "g=c" in err["message"]
     assert not (tmp_path / "imputed.csv").exists()
     assert not (tmp_path / "aug.csv").exists()
+
+
+def test_train_level_missing_from_model_exits_3(tmp_path, rng, capsys):
+    # a level of --train that the fit's sample B never saw has no
+    # coefficient: the linearized variance refuses it, and does not read
+    # those rows as the reference level
+    train, sample_a = _level_files(tmp_path, rng, ["r", "a", "b"], ["r", "a", "b"])
+    model, imputed = str(tmp_path / "model.json"), str(tmp_path / "imputed.csv")
+    assert run_cli(["fit", "--train", train, "--response", "y", "--covariates", "x,g",
+                    "--categorical", "g=r", "--out", model]) == 0
+    assert run_cli(["impute", "--model", model, "--sample-a", sample_a,
+                    "--weight", "w", "--out", imputed]) == 0
+    with open(train, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1::5]:
+        row[1] = "c"
+    unseen = _levels_file(tmp_path / "unseen.csv", rows[0], rows[1:])
+    estimate = ["estimate", "--imputed", imputed, "--variance", "linearized",
+                "--report", str(tmp_path / "r.json"), "--train"]
+    capsys.readouterr()
+    assert run_cli([*estimate, unseen]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "g=c" in err["message"]
+    assert not (tmp_path / "r.json").exists()
+    assert run_cli([*estimate, train]) == 0
 
 
 def test_repeated_column_name_exits_3(tmp_path, rng, capsys, monkeypatch):
